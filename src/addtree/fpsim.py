@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .numeric import Value, as_value
-from .tree import AdditionTree, Internal, Leaf, cost
+from .tree import AdditionTree, Leaf, cost, leaves
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
     """Evaluate the tree bottom-up with a rounded add at every internal node."""
     bad = [
         leaf.value
-        for leaf in _leaves(tree)
+        for leaf in leaves(tree)
         if not is_representable(leaf.value, prec)
     ]
     if bad:
@@ -131,19 +131,6 @@ def first_order_worst_case(tree: AdditionTree, prec: Precision) -> Value:
     +-alpha, sign-aligned with its partial sum. Equals alpha * cost(tree);
     reported for tightness comparison, not claimed realizable."""
     return as_value(prec.alpha * cost(tree))
-
-
-def _leaves(tree: AdditionTree) -> List[Leaf]:
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
 
 
 def _eval_fl(tree: AdditionTree, prec: Precision) -> Value:

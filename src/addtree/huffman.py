@@ -1,31 +1,26 @@
-"""Huffman construction of cost-optimal addition trees for positive inputs.
+"""Huffman construction of cost-optimal addition trees for single-sign inputs.
 
-Repeatedly merging the two smallest current values yields the minimum-cost
-addition tree when every input shares one sign. Two builders are provided:
-a heap-based one for unsorted input (O(n log n)) and a two-queue one for
-pre-sorted input (O(n)). Callers with all-negative input negate, build,
-and negate back (see planner).
+Repeatedly merging the two smallest current magnitudes yields the
+minimum-cost addition tree when every input shares one sign. One builder
+does the merging: the two-queue method (van Leeuwen, "On the construction
+of Huffman trees", ICALP 1976), O(n) over keys that are already sorted.
+Unsorted input is sorted first, stably, so equal values merge in input
+order. All-negative input is merged on magnitudes while its leaves keep
+their negative values.
 """
 
 from __future__ import annotations
 
-import gc
-import heapq
 from itertools import islice
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .numeric import Value
-from .tree import AdditionTree, Internal, Leaf
+from .tree import AdditionTree, Internal, Leaf, without_gc
 
 
-def _check_positive(values: Sequence[Value]) -> None:
-    if not values:
-        raise ValueError("cannot build a Huffman tree over an empty sequence")
-    for v in values:
-        if v <= 0:
-            raise ValueError(
-                f"Huffman construction requires strictly positive values, got {v}"
-            )
+def _check_nondecreasing(keys: Sequence[Value]) -> None:
+    if any(b < a for a, b in zip(keys, islice(keys, 1, None))):
+        raise ValueError("input to build_huffman_sorted is not sorted nondecreasing")
 
 
 def build_huffman(values: Sequence[Value]) -> AdditionTree:
@@ -34,170 +29,103 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
     Ties are broken by insertion order (earliest inserted merges first),
     which fixes the tree shape; the cost is tie-independent.
     """
-    _check_positive(values)
-    heap = [(v, i, Leaf(v)) for i, v in enumerate(values)]
-    heapq.heapify(heap)
-    counter = len(values)
-    while len(heap) > 1:
-        va, _, ta = heapq.heappop(heap)
-        vb, _, tb = heapq.heappop(heap)
-        heapq.heappush(heap, (va + vb, counter, Internal(ta, tb)))
-        counter += 1
-    return heap[0][2]
+    if not values:
+        raise ValueError("cannot build a Huffman tree over an empty sequence")
+    for v in values:
+        if v <= 0:
+            raise ValueError(
+                f"Huffman construction requires strictly positive values, got {v}"
+            )
+    return without_gc(two_queue_merge, sorted(values))
 
 
 def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
-    """Linear-time Huffman tree for a nondecreasing positive sequence.
-
-    Uses the classic two-queue method: leaves wait in one FIFO queue,
-    merged subtrees in another; both queues stay nondecreasing, so the two
-    smallest items are always at the queue fronts.
-    """
+    """Linear-time Huffman tree for a nondecreasing positive sequence."""
     if not values:
         raise ValueError("cannot build a Huffman tree over an empty sequence")
-    if any(b < a for a, b in zip(values, islice(values, 1, None))):
-        raise ValueError("input to build_huffman_sorted is not sorted nondecreasing")
+    _check_nondecreasing(values)
     if values[0] <= 0:  # nondecreasing, so checking the head suffices
         raise ValueError(
             f"Huffman construction requires strictly positive values, got {values[0]}"
         )
-
-    # Bulk-building 2n-1 acyclic nodes; pausing the cyclic GC avoids
-    # repeated full collections that would dominate the O(n) pass.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _build_sorted(values)
-    finally:
-        if was_enabled:
-            gc.enable()
+    return without_gc(two_queue_merge, values)
 
 
-def _build_sorted(values: Sequence[Value]) -> AdditionTree:
-    n = len(values)
+def build_huffman_single_sign(
+    x: Sequence[Value], presorted: bool = False
+) -> AdditionTree:
+    """Minimum-cost addition tree over nonzero values of one sign.
+
+    The caller guarantees that x is nonempty, zero-free and single-sign.
+    With presorted=True, x must be sorted ascending (this is checked).
+    """
+    if x[0] > 0:
+        keys, trees = (x if presorted else sorted(x)), None
+    else:
+        # Ascending magnitudes; reverse=True keeps equal values in input order.
+        order = list(reversed(x)) if presorted else sorted(x, reverse=True)
+        keys, trees = [-v for v in order], [Leaf(v) for v in order]
+    if presorted:
+        _check_nondecreasing(keys)
+    return without_gc(two_queue_merge, keys, trees)
+
+
+def two_queue_merge(
+    keys: Sequence[Value], trees: Optional[Sequence[AdditionTree]] = None
+) -> AdditionTree:
+    """Huffman merge over nondecreasing positive keys, in O(n).
+
+    trees[i] is the subtree keyed by keys[i]; merging two subtrees keys the
+    result by the sum of their keys. Without trees, the leaves hold the keys
+    themselves. Input items wait in one FIFO queue and merged subtrees in
+    another; both stay nondecreasing, so the two smallest items are always
+    at the queue fronts. On ties the input queue wins, and the first item
+    popped becomes the left child.
+    """
+    n = len(keys)
     tnew = tuple.__new__
-    nodes = [tnew(Leaf, (v,)) for v in values]
+    own_keys = trees is None
+    if own_keys:
+        trees = [tnew(Leaf, (v,)) for v in keys]
     if n == 1:
-        return nodes[0]
+        return trees[0]
 
-    schedule = _int_merge_schedule(values)
-    if schedule is not None:
-        # Merge order precomputed on machine integers; build the nodes.
-        la, lb, sums = schedule
-        append = nodes.append
-        for k in range(n - 1):
-            append(tnew(Internal, (nodes[la[k]], nodes[lb[k]], sums[k])))
-        return nodes[-1]
-
-    # General exact-arithmetic path. Queue fronts and node values are
-    # carried in locals to keep this O(n) pass cheap in constant factors.
+    # Queue fronts and keys are carried in locals to keep this O(n) pass
+    # cheap in constant factors.
     merged_trees: list = []
-    merged_vals: list = []
+    merged_keys: list = []
     mt_append = merged_trees.append
-    mv_append = merged_vals.append
+    mk_append = merged_keys.append
     inf = float("inf")
     i = j = mcount = 0
-    lv = values[0]
-    mv = inf
+    lk = keys[0]
+    mk = inf
     for _ in range(n - 1):
-        # Pop the two smallest; prefer the leaf queue on ties (leaves were
-        # inserted first). Both queues are nondecreasing throughout.
-        if lv <= mv:
-            a = nodes[i]
-            va = lv
+        if lk <= mk:
+            a = trees[i]
+            ka = lk
             i += 1
-            lv = values[i] if i < n else inf
+            lk = keys[i] if i < n else inf
         else:
             a = merged_trees[j]
-            va = mv
+            ka = mk
             j += 1
-            mv = merged_vals[j] if j < mcount else inf
-        if lv <= mv:
-            b = nodes[i]
-            vb = lv
+            mk = merged_keys[j] if j < mcount else inf
+        if lk <= mk:
+            b = trees[i]
+            kb = lk
             i += 1
-            lv = values[i] if i < n else inf
+            lk = keys[i] if i < n else inf
         else:
             b = merged_trees[j]
-            vb = mv
+            kb = mk
             j += 1
-            mv = merged_vals[j] if j < mcount else inf
-        s = va + vb
-        mt_append(tnew(Internal, (a, b, s)))
-        mv_append(s)
-        if mv is inf:
-            mv = s
+            mk = merged_keys[j] if j < mcount else inf
+        s = ka + kb
+        # With the keys as leaf values, the key sum is the node value.
+        mt_append(tnew(Internal, (a, b, s if own_keys else a.value + b.value)))
+        mk_append(s)
+        if mk is inf:
+            mk = s
         mcount += 1
     return merged_trees[-1]
-
-
-def _int_merge_schedule(values: Sequence[Value]):
-    """Two-queue merge order computed on int64 arrays via numba, when the
-    input is machine-integer sized. Returns (left_idx, right_idx, sums)
-    with indices into leaves (0..n-1) then merge results (n..2n-2), or
-    None when the fast path does not apply."""
-    kernel = _load_kernel()
-    if kernel is None:
-        return None
-    try:
-        arr = _np.asarray(values)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if arr.dtype != _np.int64:  # rationals or oversized ints: exact path
-        return None
-    # The largest node value is the total sum; keep well inside int64.
-    if sum(values) >= 2**62:
-        return None
-    la, lb, sums = kernel(arr)
-    return la.tolist(), lb.tolist(), sums.tolist()
-
-
-_np = None
-_kernel = None
-_kernel_failed = False
-
-
-def _load_kernel():
-    global _np, _kernel, _kernel_failed
-    if _kernel is not None or _kernel_failed:
-        return _kernel
-    try:
-        import numba
-        import numpy
-    except ImportError:
-        _kernel_failed = True
-        return None
-    _np = numpy
-
-    @numba.njit(cache=True)
-    def two_queue_merge(vals):
-        n = vals.shape[0]
-        la = numpy.empty(n - 1, numpy.int64)
-        lb = numpy.empty(n - 1, numpy.int64)
-        sums = numpy.empty(n - 1, numpy.int64)
-        i = 0
-        j = 0
-        for k in range(n - 1):
-            if i < n and (j >= k or vals[i] <= sums[j]):
-                a = i
-                va = vals[i]
-                i += 1
-            else:
-                a = n + j
-                va = sums[j]
-                j += 1
-            if i < n and (j >= k or vals[i] <= sums[j]):
-                b = i
-                vb = vals[i]
-                i += 1
-            else:
-                b = n + j
-                vb = sums[j]
-                j += 1
-            la[k] = a
-            lb[k] = b
-            sums[k] = va + vb
-        return la, lb, sums
-
-    _kernel = two_queue_merge
-    return _kernel

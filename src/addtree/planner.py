@@ -16,13 +16,13 @@ Strategies:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .huffman import build_huffman, build_huffman_sorted
-from .matching import minimum_critical_matching, split_by_sign
+from .huffman import build_huffman_single_sign, two_queue_merge
+from .matching import minimum_critical_matching, sorted_sides
 from .numeric import ErrorModel, Value, as_value, format_value
 from .oracle import optimal_cost_dp
 from .tree import (
@@ -32,9 +32,8 @@ from .tree import (
     build_balanced,
     combine_balanced,
     cost,
-    gc_paused,
-    negate,
     serialize,
+    without_gc,
 )
 
 STRATEGIES = ("balanced", "huffman", "critical", "grouped", "optimal")
@@ -70,17 +69,14 @@ def _ceil_log2(k: int) -> int:
     return (k - 1).bit_length() if k >= 1 else 0
 
 
-def _check_nonzero(x: Sequence[Value]) -> None:
+def _sign_counts(x: Sequence[Value]) -> tuple:
+    """(positives, negatives) in x; rejects an empty or zero-holding x."""
     if not x:
         raise ValueError("input multiset is empty")
-    if any(v == 0 for v in x):
+    if 0 in x:
         raise ValueError("input values must be nonzero")
-
-
-def _sign_split(x: Sequence[Value]) -> tuple:
-    pos = sum(1 for v in x if v > 0)
-    neg = sum(1 for v in x if v < 0)
-    return pos, neg
+    npos = sum(1 for v in x if v > 0)
+    return npos, len(x) - npos
 
 
 def plan_general(x: Sequence[Value], presorted: bool = False) -> AdditionTree:
@@ -89,8 +85,10 @@ def plan_general(x: Sequence[Value], presorted: bool = False) -> AdditionTree:
     With presorted=True, x must already be sorted ascending; the sort is
     skipped and the whole plan runs in O(n).
     """
-    _check_nonzero(x)
-    npos, nneg = _sign_split(x)
+    return _plan_general(x, *_sign_counts(x), presorted)
+
+
+def _plan_general(x, npos: int, nneg: int, presorted: bool) -> AdditionTree:
     if npos == 0 or nneg == 0:
         raise ValueError(
             "general planner requires mixed signs; use the single-sign planner"
@@ -102,7 +100,7 @@ def plan_general(x: Sequence[Value], presorted: bool = False) -> AdditionTree:
         negatives = xs[:nneg][::-1]
         positives = xs[nneg:]
     else:
-        positives, negatives = split_by_sign(x)
+        positives, negatives = sorted_sides(x)
     matching = minimum_critical_matching(positives, negatives)
     pieces = [Internal(Leaf(a), Leaf(b)) for a, b in matching.pairs]
     pieces.extend(Leaf(z) for z in matching.unmatched)
@@ -114,36 +112,28 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
 
     Partitions x in input order into ceil(n / 2^t) groups, builds a
     balanced tree per group, then merges groups Huffman-style keyed on the
-    group maxima. Guarantees cost <= optimal + t * |sum(x)|.
+    groups' largest magnitudes. Guarantees cost <= optimal + t * |sum(x)|.
     """
-    _check_nonzero(x)
+    return _plan_single_sign(x, t, *_sign_counts(x))
+
+
+def _plan_single_sign(x, t: int, npos: int, nneg: int) -> AdditionTree:
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
-    npos, nneg = _sign_split(x)
     if npos and nneg:
         raise ValueError("single-sign planner requires all values of one sign")
-    if nneg:
-        return negate(plan_single_sign([-v for v in x], t))
+    return without_gc(_grouped, x, 1 << t, nneg > 0)
 
-    width = 1 << t
-    with gc_paused():
-        entries = []  # (group max, insertion order, group tree)
-        for i in range(0, len(x), width):
-            group = x[i : i + width]
-            entries.append((max(group), len(entries), build_balanced(group)))
-        if len(entries) == 1:
-            return entries[0][2]
-        # Huffman over the maxima; each merge joins the actual group trees,
-        # so the result is the Huffman tree with maxima leaves replaced in
-        # place.
-        heapq.heapify(entries)
-        counter = len(entries)
-        while len(entries) > 1:
-            wa, _, ta = heapq.heappop(entries)
-            wb, _, tb = heapq.heappop(entries)
-            heapq.heappush(entries, (wa + wb, counter, Internal(ta, tb)))
-            counter += 1
-        return entries[0][2]
+
+def _grouped(x, width: int, negative: bool) -> AdditionTree:
+    keyed = []  # (group max magnitude, group tree)
+    for i in range(0, len(x), width):
+        group = x[i : i + width]
+        keyed.append((-min(group) if negative else max(group), build_balanced(group)))
+    # A stable sort keeps groups with equal keys in input order, which
+    # fixes the tree shape; the guarantee does not depend on ties.
+    keyed.sort(key=itemgetter(0))
+    return two_queue_merge([k for k, _ in keyed], [g for _, g in keyed])
 
 
 def default_group_parameter(n: int) -> int:
@@ -174,12 +164,11 @@ def plan(
     alpha defaults to 2^-53 (IEEE double roundoff). with_oracle also runs
     the exact solver and records the observed cost ratio.
     """
-    _check_nonzero(x)
+    npos, nneg = _sign_counts(x)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     model = ErrorModel(Fraction(1, 2**53) if alpha is None else alpha)
     n = len(x)
-    npos, nneg = _sign_split(x)
     single_sign = npos == 0 or nneg == 0
     guarantee: Optional[Value] = None
     optimal: Optional[Value] = None
@@ -191,26 +180,19 @@ def plan(
     elif strategy == "huffman":
         if not single_sign:
             raise ValueError("huffman strategy requires single-sign input")
-        if nneg:
-            tree = negate(
-                build_huffman_sorted([-v for v in reversed(x)])
-                if presorted
-                else build_huffman([-v for v in x])
-            )
-        else:
-            tree = build_huffman_sorted(x) if presorted else build_huffman(x)
+        tree = build_huffman_single_sign(x, presorted)
         guarantee = 1
     elif strategy == "critical":
         if single_sign:
             raise ValueError("critical strategy requires mixed-sign input")
-        tree = plan_general(x, presorted=presorted)
+        tree = _plan_general(x, npos, nneg, presorted)
         guarantee = 2 * (_ceil_log2(n - 1) + 1)
     elif strategy == "grouped":
         if not single_sign:
             raise ValueError("grouped strategy requires single-sign input")
         if t is None:
             t = default_group_parameter(max(n, 2))
-        tree = plan_single_sign(x, t)
+        tree = _plan_single_sign(x, t, npos, nneg)
         guarantee = 1 + t
     else:  # optimal
         result = optimal_cost_dp(x, cap=oracle_cap)

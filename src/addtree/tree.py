@@ -9,7 +9,6 @@ rounding error under unit roundoff alpha is alpha times the cost.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 from collections import namedtuple
 from typing import Iterator, Sequence, Union
@@ -105,14 +104,17 @@ def depth(tree: AdditionTree) -> int:
     return best
 
 
-@contextlib.contextmanager
-def gc_paused():
-    """Pause the cyclic GC during bulk node construction; trees are acyclic,
-    so collections in the middle of an O(n) build are pure overhead."""
+def without_gc(fn, *args):
+    """fn(*args) with the cyclic GC paused; trees are acyclic, so collections
+    in the middle of an O(n) build are pure overhead.
+
+    A plain call on purpose: a context manager allocates right after
+    gc.enable(), which starts a collection over every node just built.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        yield
+        return fn(*args)
     finally:
         if was_enabled:
             gc.enable()
@@ -143,13 +145,6 @@ def build_balanced(values: Sequence[Value]) -> AdditionTree:
     """
     tnew = tuple.__new__
     return combine_balanced([tnew(Leaf, (v,)) for v in values])
-
-
-def negate(tree: AdditionTree) -> AdditionTree:
-    """Mirror tree with every value negated; cost is unchanged."""
-    if isinstance(tree, Leaf):
-        return Leaf(-tree.value)
-    return Internal(negate(tree.left), negate(tree.right))
 
 
 def serialize(tree: AdditionTree) -> str:

@@ -132,3 +132,12 @@ def test_simulate_command(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "plan", "/nonexistent/input.txt")
     assert code == 2
+
+
+def test_plan_deep_all_negative_huffman(tmp_path, capsys):
+    neg = write(tmp_path, "neg.txt", "".join(f"{-(2**i)}\n" for i in range(3000)))
+    pos = write(tmp_path, "pos.txt", "".join(f"{2**i}\n" for i in range(3000)))
+    code, out, err = run(capsys, "plan", neg, "--strategy", "huffman")
+    assert code == 0 and err == ""
+    _, pos_out, _ = run(capsys, "plan", pos, "--strategy", "huffman")
+    assert json.loads(out)["cost"] == json.loads(pos_out)["cost"]

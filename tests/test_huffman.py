@@ -76,8 +76,8 @@ def test_two_queue_linear_comparison_count():
     rng = random.Random(7)
     n = 2000
     values = sorted(Counted(rng.randint(1, 10**6)) for _ in range(n))
-    # An int64-overflowing maximum keeps the build on the exact-arithmetic
-    # path, so the comparison count reflects the two-queue loop itself.
+    # A maximum beyond 64 bits checks that big integers go through the same
+    # two-queue loop; the comparison count reflects that loop alone.
     values.append(Counted(2**64))
     Counted.comparisons = 0
     build_huffman_sorted(values)

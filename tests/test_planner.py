@@ -166,3 +166,15 @@ def test_plan_balanced_guarantee_only_single_sign():
 def test_plan_optimal_strategy():
     report = plan([5, -5, 3], "optimal")
     assert report.cost == 3 and report.optimal_cost == 3
+
+
+def test_deep_all_negative_plans_mirror_positive():
+    # Huffman on geometric input builds a 3000-deep chain.
+    x = [-(2**i) for i in range(3000)]
+    mirror = [-v for v in x]
+    for strategy in ("huffman", "grouped"):
+        report = plan(x, strategy)
+        assert report.cost == plan(mirror, strategy).cost
+        assert evaluate_exact(report.tree) == sum(x)
+    report = plan(sorted(x), "huffman", presorted=True)
+    assert report.cost == plan(sorted(mirror), "huffman", presorted=True).cost
