@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
 
 from .numeric import Value, as_value
-from .tree import AdditionTree, Leaf, cost, leaves
+from .tree import AdditionTree, Internal, cost
 
 
 @dataclass(frozen=True)
@@ -107,17 +106,28 @@ class SimulationResult:
 
 def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
     """Evaluate the tree bottom-up with a rounded add at every internal node."""
-    bad = [
-        leaf.value
-        for leaf in leaves(tree)
-        if not is_representable(leaf.value, prec)
-    ]
+    # One iterative post-order pass; trees from the planners can be deep.
+    # The right child is visited first, so bad leaves are listed right to
+    # left. None marks an addition whose operands are the top two sums.
+    sums: list = []
+    bad = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            b = sums.pop()
+            sums.append(round_to_precision(sums.pop() + b, prec))
+        elif isinstance(node, Internal):
+            stack += (None, node.left, node.right)
+        else:
+            if not is_representable(node.value, prec):
+                bad.append(node.value)
+            sums.append(node.value)
     if bad:
         raise ValueError(
             f"leaves not representable at {prec.significand_bits} bits: {bad}"
         )
-    computed = _eval_fl(tree, prec)
-    true_sum = tree.value
+    computed, true_sum = sums[0], tree.value
     return SimulationResult(
         computed=computed,
         true_sum=true_sum,
@@ -131,22 +141,3 @@ def first_order_worst_case(tree: AdditionTree, prec: Precision) -> Value:
     +-alpha, sign-aligned with its partial sum. Equals alpha * cost(tree);
     reported for tightness comparison, not claimed realizable."""
     return as_value(prec.alpha * cost(tree))
-
-
-def _eval_fl(tree: AdditionTree, prec: Precision) -> Value:
-    # Iterative post-order; trees from the planners can be deep.
-    results: dict = {}
-    stack: List[Tuple[AdditionTree, bool]] = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            results[id(node)] = node.value
-        elif expanded:
-            results[id(node)] = round_to_precision(
-                results[id(node.left)] + results[id(node.right)], prec
-            )
-        else:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-    return results[id(tree)]

@@ -80,15 +80,16 @@ class ReductionInstance:
 
 def reduce_to_addition_tree(instance: ThreePartitionInstance) -> ReductionInstance:
     """Build the summation multiset X and its cost threshold m(H + h)."""
-    m = validate_3par(instance)
-    a, l = amplify(instance)
+    a, l = amplify(instance)  # validates the instance
+    m = len(a) // 3
+    w = (l - instance.k) // 3  # L = 3W + K
     epsilon = Fraction(1, 400 * (5 * m) ** 2)
     h = (4 * epsilon.numerator * l) // epsilon.denominator  # floor(4 eps L)
     h_big = l + h
     x = tuple(a) + (-h_big,) * m + (h,) * m
     return ReductionInstance(
         x=x,
-        w=100 * (5 * m) ** 2 * instance.k,
+        w=w,
         l=l,
         h=h,
         h_big=h_big,

@@ -11,16 +11,10 @@ their negative values.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional, Sequence
 
-from .numeric import Value
+from .numeric import Value, check_ascending
 from .tree import AdditionTree, Internal, Leaf, without_gc
-
-
-def _check_nondecreasing(keys: Sequence[Value]) -> None:
-    if any(b < a for a, b in zip(keys, islice(keys, 1, None))):
-        raise ValueError("input to build_huffman_sorted is not sorted nondecreasing")
 
 
 def build_huffman(values: Sequence[Value]) -> AdditionTree:
@@ -43,7 +37,7 @@ def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
     """Linear-time Huffman tree for a nondecreasing positive sequence."""
     if not values:
         raise ValueError("cannot build a Huffman tree over an empty sequence")
-    _check_nondecreasing(values)
+    check_ascending(values)
     if values[0] <= 0:  # nondecreasing, so checking the head suffices
         raise ValueError(
             f"Huffman construction requires strictly positive values, got {values[0]}"
@@ -51,22 +45,17 @@ def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
     return without_gc(two_queue_merge, values)
 
 
-def build_huffman_single_sign(
-    x: Sequence[Value], presorted: bool = False
-) -> AdditionTree:
+def build_huffman_single_sign(x: Sequence[Value]) -> AdditionTree:
     """Minimum-cost addition tree over nonzero values of one sign.
 
     The caller guarantees that x is nonempty, zero-free and single-sign.
-    With presorted=True, x must be sorted ascending (this is checked).
     """
     if x[0] > 0:
-        keys, trees = (x if presorted else sorted(x)), None
+        keys, trees = sorted(x), None
     else:
         # Ascending magnitudes; reverse=True keeps equal values in input order.
-        order = list(reversed(x)) if presorted else sorted(x, reverse=True)
+        order = sorted(x, reverse=True)
         keys, trees = [-v for v in order], [Leaf(v) for v in order]
-    if presorted:
-        _check_nondecreasing(keys)
     return without_gc(two_queue_merge, keys, trees)
 
 

@@ -83,11 +83,6 @@ def split_by_sign(x: Sequence[Value]) -> tuple:
     minimum_critical_matching. Rejects zeros."""
     if 0 in x:
         raise ValueError("input values must be nonzero")
-    return sorted_sides(x)
-
-
-def sorted_sides(x: Sequence[Value]) -> tuple:
-    """split_by_sign for a multiset already known to be zero-free."""
     positives = sorted(v for v in x if v > 0)
     negatives = sorted((v for v in x if v < 0), reverse=True)
     return positives, negatives

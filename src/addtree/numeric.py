@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import islice
+from operator import le
+from typing import Iterable, Sequence, Union
 
 Value = Union[int, Fraction]
 
@@ -69,6 +71,17 @@ def format_value(v: Value) -> str:
 def exact_sum(values: Iterable[Value]) -> Value:
     """Exact sum; the empty sum is 0."""
     return as_value(sum(values))
+
+
+def check_ascending(x: Sequence[Value]) -> None:
+    """Reject x unless it is nondecreasing; the position of the first
+    descent is searched for only when the one-pass check fails."""
+    if not all(map(le, x, islice(x, 1, None))):
+        i = next(i for i in range(len(x) - 1) if x[i] > x[i + 1])
+        raise ValueError(
+            f"input is not sorted: value {x[i + 1]} at position {i + 2} "
+            "breaks ascending order"
+        )
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .huffman import build_huffman_single_sign, two_queue_merge
-from .matching import minimum_critical_matching, sorted_sides
-from .numeric import ErrorModel, Value, as_value, format_value
+from .matching import minimum_critical_matching, split_by_sign
+from .numeric import ErrorModel, Value, as_value, check_ascending, format_value
 from .oracle import optimal_cost_dp
 from .tree import (
     AdditionTree,
@@ -82,26 +82,17 @@ def _sign_counts(x: Sequence[Value]) -> tuple:
 def plan_general(x: Sequence[Value], presorted: bool = False) -> AdditionTree:
     """Mixed-sign planner: match, add pairs, balance the rest.
 
-    With presorted=True, x must already be sorted ascending; the sort is
-    skipped and the whole plan runs in O(n).
+    presorted=True promises that x is sorted ascending; the promise is
+    checked, and the plan is built exactly as for unsorted input. The plan
+    runs in O(n) after sorting, and sorting already sorted input is a
+    single linear pass.
     """
-    return _plan_general(x, *_sign_counts(x), presorted)
-
-
-def _plan_general(x, npos: int, nneg: int, presorted: bool) -> AdditionTree:
+    npos, nneg = _sign_counts(x)
     if npos == 0 or nneg == 0:
-        raise ValueError(
-            "general planner requires mixed signs; use the single-sign planner"
-        )
+        raise ValueError("critical strategy requires mixed-sign input")
     if presorted:
-        xs = list(x)
-        if any(xs[i] > xs[i + 1] for i in range(len(xs) - 1)):
-            raise ValueError("input is not sorted ascending")
-        negatives = xs[:nneg][::-1]
-        positives = xs[nneg:]
-    else:
-        positives, negatives = sorted_sides(x)
-    matching = minimum_critical_matching(positives, negatives)
+        check_ascending(x)
+    matching = minimum_critical_matching(*split_by_sign(x))
     pieces = [Internal(Leaf(a), Leaf(b)) for a, b in matching.pairs]
     pieces.extend(Leaf(z) for z in matching.unmatched)
     return combine_balanced(pieces)
@@ -114,14 +105,11 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
     balanced tree per group, then merges groups Huffman-style keyed on the
     groups' largest magnitudes. Guarantees cost <= optimal + t * |sum(x)|.
     """
-    return _plan_single_sign(x, t, *_sign_counts(x))
-
-
-def _plan_single_sign(x, t: int, npos: int, nneg: int) -> AdditionTree:
+    npos, nneg = _sign_counts(x)
+    if npos and nneg:
+        raise ValueError("grouped strategy requires single-sign input")
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
-    if npos and nneg:
-        raise ValueError("single-sign planner requires all values of one sign")
     return without_gc(_grouped, x, 1 << t, nneg > 0)
 
 
@@ -162,11 +150,15 @@ def plan(
     """Run the named strategy and assemble a report.
 
     alpha defaults to 2^-53 (IEEE double roundoff). with_oracle also runs
-    the exact solver and records the observed cost ratio.
+    the exact solver and records the observed cost ratio. presorted=True
+    promises that x is sorted ascending; it is checked for every strategy
+    and selects no other code path.
     """
     npos, nneg = _sign_counts(x)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if presorted:
+        check_ascending(x)
     model = ErrorModel(Fraction(1, 2**53) if alpha is None else alpha)
     n = len(x)
     single_sign = npos == 0 or nneg == 0
@@ -180,19 +172,15 @@ def plan(
     elif strategy == "huffman":
         if not single_sign:
             raise ValueError("huffman strategy requires single-sign input")
-        tree = build_huffman_single_sign(x, presorted)
+        tree = build_huffman_single_sign(x)
         guarantee = 1
     elif strategy == "critical":
-        if single_sign:
-            raise ValueError("critical strategy requires mixed-sign input")
-        tree = _plan_general(x, npos, nneg, presorted)
+        tree = plan_general(x)
         guarantee = 2 * (_ceil_log2(n - 1) + 1)
     elif strategy == "grouped":
-        if not single_sign:
-            raise ValueError("grouped strategy requires single-sign input")
         if t is None:
             t = default_group_parameter(max(n, 2))
-        tree = _plan_single_sign(x, t, npos, nneg)
+        tree = plan_single_sign(x, t)
         guarantee = 1 + t
     else:  # optimal
         result = optimal_cost_dp(x, cap=oracle_cap)

@@ -13,7 +13,7 @@ import gc
 from collections import namedtuple
 from typing import Iterator, Sequence, Union
 
-from .numeric import ErrorModel, ParseError, Value, exact_sum, format_value, parse_value
+from .numeric import ErrorModel, ParseError, Value, format_value, parse_value
 
 
 class Leaf(namedtuple("_LeafBase", ("value",))):
@@ -50,12 +50,6 @@ def nodes(tree: AdditionTree) -> Iterator[AdditionTree]:
         if isinstance(node, Internal):
             stack.append(node.left)
             stack.append(node.right)
-
-
-def leaves(tree: AdditionTree) -> Iterator[Leaf]:
-    for node in nodes(tree):
-        if isinstance(node, Leaf):
-            yield node
 
 
 def leaf_values(tree: AdditionTree) -> list:
@@ -167,59 +161,74 @@ def serialize(tree: AdditionTree) -> str:
 
 
 def parse_tree(text: str) -> AdditionTree:
-    """Inverse of serialize; errors carry the character position."""
+    """Inverse of serialize; errors carry the character position.
+
+    Iterative, so the nesting depth is not limited by the call stack.
+    """
     pos = 0
     n = len(text)
+    open_nodes: list = []  # children parsed so far, one list per open "("
 
     def skip_ws():
         nonlocal pos
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def node() -> AdditionTree:
-        nonlocal pos
+    while True:
         skip_ws()
         if pos >= n:
             raise ParseError(f"unexpected end of input at position {pos}")
         if text[pos] == "(":
             pos += 1
-            left = node()
-            right = node()
-            skip_ws()
-            if pos >= n or text[pos] != ")":
-                raise ParseError(f"expected ')' at position {pos}")
-            pos += 1
-            return Internal(left, right)
+            open_nodes.append([])
+            continue
         if text[pos] == ")":
             raise ParseError(f"unexpected ')' at position {pos}")
         start = pos
         while pos < n and not text[pos].isspace() and text[pos] not in "()":
             pos += 1
         try:
-            return Leaf(parse_value(text[start:pos]))
+            node = Leaf(parse_value(text[start:pos]))
         except ParseError as exc:
             raise ParseError(f"{exc} at position {start}") from None
-
-    result = node()
+        # Close every "(" whose second child is now complete.
+        while open_nodes:
+            children = open_nodes[-1]
+            children.append(node)
+            if len(children) < 2:
+                break
+            skip_ws()
+            if pos >= n or text[pos] != ")":
+                raise ParseError(f"expected ')' at position {pos}")
+            pos += 1
+            open_nodes.pop()
+            node = Internal(*children)
+        if not open_nodes:
+            break
     skip_ws()
     if pos != n:
         raise ParseError(f"trailing input at position {pos}")
-    return result
+    return node
+
+
+def _json_node(value: Value, c: Value, children: list) -> dict:
+    return {"value": format_value(value), "cost": format_value(c), "children": children}
 
 
 def to_json_dict(tree: AdditionTree) -> dict:
     """JSON rendering with per-node "value", subtree "cost", "children"."""
-
-    def walk(node):
+    done: list = []  # (dict, subtree cost) of finished subtrees
+    stack: list = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
         if isinstance(node, Leaf):
-            return {"value": format_value(node.value), "cost": "0", "children": []}, 0
-        left, cl = walk(node.left)
-        right, cr = walk(node.right)
-        c = cl + cr + abs(node.value)
-        return {
-            "value": format_value(node.value),
-            "cost": format_value(c),
-            "children": [left, right],
-        }, c
-
-    return walk(tree)[0]
+            done.append((_json_node(node.value, 0, []), 0))
+        elif expanded:
+            (right, cr), (left, cl) = done.pop(), done.pop()
+            c = cl + cr + abs(node.value)
+            done.append((_json_node(node.value, c, [left, right]), c))
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    return done[0][0]

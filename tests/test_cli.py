@@ -141,3 +141,23 @@ def test_plan_deep_all_negative_huffman(tmp_path, capsys):
     assert code == 0 and err == ""
     _, pos_out, _ = run(capsys, "plan", pos, "--strategy", "huffman")
     assert json.loads(out)["cost"] == json.loads(pos_out)["cost"]
+
+
+@pytest.mark.parametrize(
+    "strategy, values",
+    [
+        ("balanced", [-4, -1, 2, 3]),
+        ("critical", [-4, -1, 2, 3]),
+        ("optimal", [-4, -1, 2, 3]),
+        ("grouped", [1, 2, 2, 4]),
+        ("huffman", [-4, -2, -2, -1]),
+    ],
+)
+def test_sorted_flag_is_checked_for_every_strategy(tmp_path, capsys, strategy, values):
+    ok = write(tmp_path, "sorted.txt", "".join(f"{v}\n" for v in values))
+    code, out, _ = run(capsys, "plan", "--strategy", strategy, "--sorted", ok)
+    assert code == 0 and out == run(capsys, "plan", "--strategy", strategy, ok)[1]
+    bad = write(tmp_path, "unsorted.txt", "".join(f"{v}\n" for v in values[::-1]))
+    for command in (["plan"], ["simulate", "--precision", "8"]):
+        code, _, err = run(capsys, *command, "--strategy", strategy, "--sorted", bad)
+        assert code == 2 and "breaks ascending order" in err

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addtree.oracle import optimal_cost_dp
 from addtree.planner import (
+    STRATEGIES,
     default_group_parameter,
     plan,
     plan_general,
@@ -178,3 +181,48 @@ def test_deep_all_negative_plans_mirror_positive():
         assert evaluate_exact(report.tree) == sum(x)
     report = plan(sorted(x), "huffman", presorted=True)
     assert report.cost == plan(sorted(mirror), "huffman", presorted=True).cost
+
+
+# Few distinct magnitudes, so sorting meets many ties.
+magnitudes = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def planner_inputs(draw):
+    """(strategy, x, a permutation of x), with x of the signs the strategy
+    accepts."""
+    strategy = draw(st.sampled_from(STRATEGIES))
+    n_max = 8 if strategy == "optimal" else 40
+    mags = draw(st.lists(magnitudes, min_size=2, max_size=n_max))
+    n = len(mags)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    if strategy in ("huffman", "grouped"):
+        signs = [signs[0]] * n
+    elif strategy == "critical":
+        signs[:2] = [1, -1]
+    x = [s * m for s, m in zip(signs, mags)]
+    return strategy, x, draw(st.permutations(x))
+
+
+def report_key(report):
+    return (
+        serialize(report.tree),
+        report.cost,
+        report.error_bound,
+        report.guarantee_factor,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(planner_inputs())
+def test_presorted_is_a_checked_promise(case):
+    strategy, x, shuffled = case
+    xs = sorted(x)
+    expected = report_key(plan(xs, strategy))
+    assert report_key(plan(xs, strategy, presorted=True)) == expected
+    if shuffled != xs:
+        with pytest.raises(ValueError, match="order"):
+            plan(shuffled, strategy, presorted=True)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree.numeric import ErrorModel, ParseError, exact_sum
+from addtree.numeric import ErrorModel, ParseError, exact_sum, format_value
+from addtree.planner import plan
 from addtree.tree import (
     Internal,
     Leaf,
@@ -131,3 +132,32 @@ def test_deep_tree_operations_are_iterative():
     assert depth(node) == 5000
     text = serialize(node)
     assert text.count("(") == 5000
+
+
+def test_deep_tree_json_and_parse_roundtrip():
+    # Huffman on geometric input builds a chain of depth n - 1.
+    tree = plan([2**i for i in range(3000)], "huffman").tree
+    assert depth(tree) == 2999
+    text = serialize(tree)
+    back = parse_tree(text)
+    assert serialize(back) == text and cost(back) == cost(tree)
+    assert to_json_dict(tree)["cost"] == format_value(cost(tree))
+
+
+def test_parse_deep_sexpr_and_errors():
+    deep = "(" * 2000 + "1" + " 1)" * 2000
+    tree = parse_tree(deep)
+    assert depth(tree) == 2000 and tree.value == 2001
+    for text, pos in [
+        ("(" * 2000 + "1", 2001),
+        ("(1 2", 4),
+        ("(1 2 3)", 5),
+        (")", 0),
+        ("(1 ) 2)", 3),
+        ("1 2", 2),
+        ("  ", 2),
+    ]:
+        with pytest.raises(ParseError, match=f"position {pos}$"):
+            parse_tree(text)
+    with pytest.raises(ParseError, match="malformed value literal: 'x' at position 3"):
+        parse_tree("(1 x)")
