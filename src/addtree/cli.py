@@ -2,7 +2,8 @@
 
 Input files carry one value per line; '#' starts a comment and blank lines
 are ignored. Reports are JSON on stdout with deterministic field order.
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 oracle size cap.
+Exit codes: 0 success, 1 usage error, 2 invalid input (also input too large
+to process: MemoryError or RecursionError), 3 oracle size cap.
 """
 
 from __future__ import annotations
@@ -36,13 +37,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def read_values(path: str) -> List[Value]:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+
+
+def read_values(path: str) -> List[Value]:
     values = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         token = line.split("#", 1)[0].strip()
         if not token:
             continue
@@ -96,11 +100,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.input}: {exc}") from None
-    instance = hardness.parse_3par(text)
+    instance = hardness.parse_3par(_read_text(args.input))
     reduction = hardness.reduce_to_addition_tree(instance)
     prefix = args.out_prefix or str(Path(args.input).with_suffix("")) + "_reduced"
     x_path = Path(prefix + ".txt")
@@ -189,8 +189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)
         return EXIT_ORACLE_CAP
-    except (ValueError, ParseError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError, RecursionError) as exc:
+        # MemoryError() carries no message; name the error instead.
+        print(f"invalid input: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

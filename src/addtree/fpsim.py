@@ -134,10 +134,3 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
         abs_error=abs(computed - true_sum),
         bound=as_value(prec.alpha * cost(tree)),
     )
-
-
-def first_order_worst_case(tree: AdditionTree, prec: Precision) -> Value:
-    """Adversarial first-order error: every addition's relative error set to
-    +-alpha, sign-aligned with its partial sum. Equals alpha * cost(tree);
-    reported for tightness comparison, not claimed realizable."""
-    return as_value(prec.alpha * cost(tree))

@@ -17,6 +17,7 @@ from .numeric import Value, check_ascending
 from .tree import AdditionTree, Internal, Leaf, without_gc
 
 
+@without_gc
 def build_huffman(values: Sequence[Value]) -> AdditionTree:
     """Minimum-cost addition tree over strictly positive values.
 
@@ -30,9 +31,10 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
             raise ValueError(
                 f"Huffman construction requires strictly positive values, got {v}"
             )
-    return without_gc(two_queue_merge, sorted(values))
+    return two_queue_merge(sorted(values))
 
 
+@without_gc
 def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
     """Linear-time Huffman tree for a nondecreasing positive sequence."""
     if not values:
@@ -42,9 +44,10 @@ def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
         raise ValueError(
             f"Huffman construction requires strictly positive values, got {values[0]}"
         )
-    return without_gc(two_queue_merge, values)
+    return two_queue_merge(values)
 
 
+@without_gc
 def build_huffman_single_sign(x: Sequence[Value]) -> AdditionTree:
     """Minimum-cost addition tree over nonzero values of one sign.
 
@@ -56,7 +59,7 @@ def build_huffman_single_sign(x: Sequence[Value]) -> AdditionTree:
         # Ascending magnitudes; reverse=True keeps equal values in input order.
         order = sorted(x, reverse=True)
         keys, trees = [-v for v in order], [Leaf(v) for v in order]
-    return without_gc(two_queue_merge, keys, trees)
+    return two_queue_merge(keys, trees)
 
 
 def two_queue_merge(

@@ -11,10 +11,11 @@ measured against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
+from operator import ge
 from typing import Sequence
 
-from .numeric import Value
+from .numeric import Value, check_ascending
 from .oracle import CapExceededError
 
 
@@ -49,20 +50,14 @@ def minimum_critical_matching(
             "matching requires at least one positive and one negative value; "
             "single-sign input belongs to the Huffman path"
         )
-    prev = None
-    for a in positives:
-        if a <= 0:
-            raise ValueError(f"expected strictly positive value, got {a}")
-        if prev is not None and a < prev:
-            raise ValueError("positives are not sorted nondecreasing")
-        prev = a
-    prev = None
-    for b in negatives:
-        if b >= 0:
-            raise ValueError(f"expected strictly negative value, got {b}")
-        if prev is not None and b > prev:
-            raise ValueError("negatives are not sorted nonincreasing")
-        prev = b
+    check_ascending(positives)
+    if not all(map(ge, negatives, islice(negatives, 1, None))):
+        raise ValueError("negatives are not sorted nonincreasing")
+    # Each side is ordered, so its head is the value nearest zero.
+    if positives[0] <= 0:
+        raise ValueError(f"expected strictly positive value, got {positives[0]}")
+    if negatives[0] >= 0:
+        raise ValueError(f"expected strictly negative value, got {negatives[0]}")
 
     l, m = len(positives), len(negatives)
     # negatives nonincreasing means |negatives| is nondecreasing.

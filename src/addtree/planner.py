@@ -79,25 +79,23 @@ def _sign_counts(x: Sequence[Value]) -> tuple:
     return npos, len(x) - npos
 
 
-def plan_general(x: Sequence[Value], presorted: bool = False) -> AdditionTree:
+@without_gc
+def plan_general(x: Sequence[Value]) -> AdditionTree:
     """Mixed-sign planner: match, add pairs, balance the rest.
 
-    presorted=True promises that x is sorted ascending; the promise is
-    checked, and the plan is built exactly as for unsorted input. The plan
-    runs in O(n) after sorting, and sorting already sorted input is a
-    single linear pass.
+    Runs in O(n) after sorting; sorting already sorted input is a single
+    linear pass.
     """
     npos, nneg = _sign_counts(x)
     if npos == 0 or nneg == 0:
         raise ValueError("critical strategy requires mixed-sign input")
-    if presorted:
-        check_ascending(x)
     matching = minimum_critical_matching(*split_by_sign(x))
     pieces = [Internal(Leaf(a), Leaf(b)) for a, b in matching.pairs]
     pieces.extend(Leaf(z) for z in matching.unmatched)
     return combine_balanced(pieces)
 
 
+@without_gc
 def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
     """Single-sign planner: groups of 2^t, Huffman over group maxima.
 
@@ -110,14 +108,12 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
         raise ValueError("grouped strategy requires single-sign input")
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
-    return without_gc(_grouped, x, 1 << t, nneg > 0)
-
-
-def _grouped(x, width: int, negative: bool) -> AdditionTree:
+    width = 1 << t
+    balanced = build_balanced.__wrapped__  # the GC is already paused here
     keyed = []  # (group max magnitude, group tree)
     for i in range(0, len(x), width):
         group = x[i : i + width]
-        keyed.append((-min(group) if negative else max(group), build_balanced(group)))
+        keyed.append((-min(group) if nneg else max(group), balanced(group)))
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
     keyed.sort(key=itemgetter(0))

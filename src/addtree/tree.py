@@ -1,5 +1,5 @@
 """Binary addition trees: representation, cost, balanced construction,
-and the s-expression / JSON renderings.
+and the s-expression rendering.
 
 A tree over a multiset X has the elements of X at its leaves; every
 internal node holds the exact sum of its two children. The cost of a tree
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 from collections import namedtuple
+from functools import wraps
 from typing import Iterator, Sequence, Union
 
 from .numeric import ErrorModel, ParseError, Value, format_value, parse_value
@@ -98,20 +99,26 @@ def depth(tree: AdditionTree) -> int:
     return best
 
 
-def without_gc(fn, *args):
-    """fn(*args) with the cyclic GC paused; trees are acyclic, so collections
-    in the middle of an O(n) build are pure overhead.
+def without_gc(fn):
+    """Decorator: run fn with the cyclic GC paused. Trees are acyclic, so
+    collections in the middle of an O(n) build are pure overhead; the
+    undecorated body stays reachable as fn.__wrapped__.
 
-    A plain call on purpose: a context manager allocates right after
+    try/finally on purpose: a context manager allocates right after
     gc.enable(), which starts a collection over every node just built.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return fn(*args)
-    finally:
-        if was_enabled:
-            gc.enable()
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def combine_balanced(trees: Sequence[AdditionTree]) -> AdditionTree:
@@ -132,6 +139,7 @@ def combine_balanced(trees: Sequence[AdditionTree]) -> AdditionTree:
     return level[0]
 
 
+@without_gc
 def build_balanced(values: Sequence[Value]) -> AdditionTree:
     """Balanced addition tree over the values in the given order.
 
@@ -160,6 +168,7 @@ def serialize(tree: AdditionTree) -> str:
     return "".join(out)
 
 
+@without_gc
 def parse_tree(text: str) -> AdditionTree:
     """Inverse of serialize; errors carry the character position.
 
@@ -209,26 +218,3 @@ def parse_tree(text: str) -> AdditionTree:
     if pos != n:
         raise ParseError(f"trailing input at position {pos}")
     return node
-
-
-def _json_node(value: Value, c: Value, children: list) -> dict:
-    return {"value": format_value(value), "cost": format_value(c), "children": children}
-
-
-def to_json_dict(tree: AdditionTree) -> dict:
-    """JSON rendering with per-node "value", subtree "cost", "children"."""
-    done: list = []  # (dict, subtree cost) of finished subtrees
-    stack: list = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            done.append((_json_node(node.value, 0, []), 0))
-        elif expanded:
-            (right, cr), (left, cl) = done.pop(), done.pop()
-            c = cl + cr + abs(node.value)
-            done.append((_json_node(node.value, c, [left, right]), c))
-        else:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-    return done[0][0]

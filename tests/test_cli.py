@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from addtree import planner
 from addtree.cli import main
 
 
@@ -130,8 +131,21 @@ def test_simulate_command(tmp_path, capsys):
 
 
 def test_missing_file_exit_2(capsys):
-    code, _, err = run(capsys, "plan", "/nonexistent/input.txt")
-    assert code == 2
+    for command in ("plan", "reduce"):
+        code, _, err = run(capsys, command, "/nonexistent/input.txt")
+        assert code == 2
+        assert err.startswith("invalid input: cannot read /nonexistent/input.txt")
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_2(data_file, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(planner, "plan", fail)
+    code, out, err = run(capsys, "plan", data_file)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {error.__name__}\n"
 
 
 def test_plan_deep_all_negative_huffman(tmp_path, capsys):

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from addtree.fpsim import (
     Precision,
-    first_order_worst_case,
     fl_add,
     is_representable,
     round_to_precision,
     simulate,
 )
-from addtree.tree import Leaf, build_balanced, cost
+from addtree.tree import Leaf, build_balanced
 
 P3 = Precision(3)
 
@@ -71,11 +70,6 @@ def test_simulate_examples():
 def test_simulate_rejects_bad_leaves():
     with pytest.raises(ValueError, match="9"):
         simulate(build_balanced([9, 1]), P3)
-
-
-def test_first_order_worst_case():
-    tree = build_balanced([5, 4])
-    assert first_order_worst_case(tree, P3) == Fraction(1, 8) * cost(tree)
 
 
 representable_24 = st.integers(min_value=-(2**24) + 1, max_value=2**24 - 1)

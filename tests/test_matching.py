@@ -41,12 +41,18 @@ def test_rejects_empty_side():
 
 
 def test_rejects_unsorted_or_missigned():
-    with pytest.raises(ValueError):
-        minimum_critical_matching([3, 1], [-2])
-    with pytest.raises(ValueError):
-        minimum_critical_matching([1], [-5, -2])
-    with pytest.raises(ValueError):
-        minimum_critical_matching([1, -1], [-2])
+    for positives, negatives in [
+        ([3, 1], [-2]),
+        ([1], [-5, -2]),
+        ([1, -1], [-2]),
+        ([0, 1], [-1]),
+        ([1], [0, -1]),
+        ([1], [2, -1]),
+    ]:
+        with pytest.raises(ValueError):
+            minimum_critical_matching(positives, negatives)
+    m = minimum_critical_matching([1, 1], [-2, -2])
+    assert m.pairs == ((1, -2), (1, -2)) and m.total == 2
 
 
 def test_unmatched_share_one_sign():

@@ -37,9 +37,7 @@ def test_plan_general_presorted_matches_unsorted():
             x = [rng.choice([1, -1]) * rng.randint(1, 50) for _ in range(n)]
             if any(v > 0 for v in x) and any(v < 0 for v in x):
                 break
-        assert cost(plan_general(sorted(x), presorted=True)) == cost(plan_general(x))
-    with pytest.raises(ValueError):
-        plan_general([3, -1], presorted=True)
+        assert cost(plan_general(sorted(x))) == cost(plan_general(x))
 
 
 def test_plan_single_sign_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree.numeric import ErrorModel, ParseError, exact_sum, format_value
+from addtree.numeric import ErrorModel, ParseError, exact_sum
 from addtree.planner import plan
 from addtree.tree import (
     Internal,
@@ -17,7 +17,6 @@ from addtree.tree import (
     leaf_values,
     parse_tree,
     serialize,
-    to_json_dict,
     worst_case_error,
 )
 
@@ -114,15 +113,6 @@ def test_serialize_roundtrip(values):
     assert leaf_values(back) == leaf_values(tree)
 
 
-def test_json_rendering():
-    d = to_json_dict(tree_123())
-    assert d["value"] == "6" and d["cost"] == "9"
-    assert [c["value"] for c in d["children"]] == ["3", "3"]
-    assert d["children"][0]["cost"] == "3"
-    leaf = d["children"][1]
-    assert leaf["children"] == [] and leaf["cost"] == "0"
-
-
 def test_deep_tree_operations_are_iterative():
     # Degenerate caterpillar tree; recursion would overflow.
     node = Leaf(1)
@@ -141,7 +131,6 @@ def test_deep_tree_json_and_parse_roundtrip():
     text = serialize(tree)
     back = parse_tree(text)
     assert serialize(back) == text and cost(back) == cost(tree)
-    assert to_json_dict(tree)["cost"] == format_value(cost(tree))
 
 
 def test_parse_deep_sexpr_and_errors():
