@@ -10,7 +10,7 @@ measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from operator import ge
 from typing import Sequence
@@ -21,14 +21,19 @@ from .oracle import CapExceededError
 
 @dataclass(frozen=True)
 class CriticalMatching:
+    """Pairs and unmatched elements; Pi, Delta and their total are computed
+    on access, since the planner reads only the pairs."""
+
     pairs: tuple  # (positive, negative) pairs
     unmatched: tuple
-    pi: Value = field(init=False)
-    delta: Value = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", sum(abs(a + b) for a, b in self.pairs))
-        object.__setattr__(self, "delta", sum(abs(z) for z in self.unmatched))
+    @property
+    def pi(self) -> Value:
+        return sum(abs(a + b) for a, b in self.pairs)
+
+    @property
+    def delta(self) -> Value:
+        return sum(abs(z) for z in self.unmatched)
 
     @property
     def total(self) -> Value:
@@ -75,11 +80,14 @@ def minimum_critical_matching(
 
 def split_by_sign(x: Sequence[Value]) -> tuple:
     """Sort and partition a mixed multiset into the two sides expected by
-    minimum_critical_matching. Rejects zeros."""
-    if 0 in x:
+    minimum_critical_matching. Rejects zeros: a value in neither side is
+    one, so no separate scan looks for them."""
+    positives = [v for v in x if v > 0]
+    negatives = [v for v in x if v < 0]
+    if len(positives) + len(negatives) != len(x):
         raise ValueError("input values must be nonzero")
-    positives = sorted(v for v in x if v > 0)
-    negatives = sorted((v for v in x if v < 0), reverse=True)
+    positives.sort()
+    negatives.sort(reverse=True)
     return positives, negatives
 
 

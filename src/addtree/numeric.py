@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import le
+from sys import get_int_max_str_digits
 from typing import Iterable, Sequence, Union
 
 Value = Union[int, Fraction]
@@ -33,15 +34,43 @@ def parse_value(text: str) -> Value:
     """Parse a decimal/scientific/rational literal into an exact rational.
 
     "1.1" parses to exactly 11/10 -- there is no intermediate binary float.
-    "p/q" forms are accepted as well.
+    "p/q" forms are accepted as well. A plain run of decimal digits, with an
+    optional sign, becomes an int without building a Fraction.
+
+    Literal size is capped by Python's int/str conversion limit
+    (sys.get_int_max_str_digits(), 4300 by default; 0 turns it off): a
+    literal longer than the limit, or with an exponent beyond it in
+    magnitude, is rejected before int() or Fraction() spends time on it.
     """
     token = text.strip()
     if not token:
         raise ParseError("empty value literal")
+    limit = get_int_max_str_digits()
+    if limit and len(token) > limit:
+        raise ParseError(f"value literal is longer than {limit} characters")
+    if (token[1:] if token[0] in "+-" else token).isdecimal():
+        return int(token)
+    if limit:
+        check_exponent(token, limit)
     try:
         return as_value(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed value literal: {token!r}") from exc
+
+
+def check_exponent(token: str, limit: int) -> None:
+    """Reject a literal whose exponent exceeds limit in magnitude; Fraction()
+    would otherwise compute 10**exponent. A literal without a well-formed
+    exponent passes, and Fraction() reports it if it is malformed."""
+    _, e, exponent = token.replace("E", "e").rpartition("e")
+    if not e:
+        return
+    try:
+        magnitude = abs(int(exponent))
+    except ValueError:
+        return
+    if magnitude > limit:
+        raise ParseError(f"value literal exponent exceeds {limit} in magnitude")
 
 
 def format_value(v: Value) -> str:

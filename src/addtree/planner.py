@@ -69,14 +69,17 @@ def _ceil_log2(k: int) -> int:
     return (k - 1).bit_length() if k >= 1 else 0
 
 
-def _sign_counts(x: Sequence[Value]) -> tuple:
-    """(positives, negatives) in x; rejects an empty or zero-holding x."""
+def _reject_empty_or_zero(x: Sequence[Value]) -> None:
     if not x:
         raise ValueError("input multiset is empty")
     if 0 in x:
         raise ValueError("input values must be nonzero")
-    npos = sum(1 for v in x if v > 0)
-    return npos, len(x) - npos
+
+
+def _one_sign(x: Sequence[Value]) -> bool:
+    """Whether a zero-free x holds values of one sign only; a mixed x is
+    usually settled within its first few values."""
+    return all(v > 0 for v in x) or all(v < 0 for v in x)
 
 
 @without_gc
@@ -86,12 +89,18 @@ def plan_general(x: Sequence[Value]) -> AdditionTree:
     Runs in O(n) after sorting; sorting already sorted input is a single
     linear pass.
     """
-    npos, nneg = _sign_counts(x)
-    if npos == 0 or nneg == 0:
+    if not x:
+        raise ValueError("input multiset is empty")
+    positives, negatives = split_by_sign(x)
+    if not positives or not negatives:
         raise ValueError("critical strategy requires mixed-sign input")
-    matching = minimum_critical_matching(*split_by_sign(x))
-    pieces = [Internal(Leaf(a), Leaf(b)) for a, b in matching.pairs]
-    pieces.extend(Leaf(z) for z in matching.unmatched)
+    matching = minimum_critical_matching(positives, negatives)
+    tnew = tuple.__new__
+    pieces = [
+        tnew(Internal, (tnew(Leaf, (a,)), tnew(Leaf, (b,)), a + b))
+        for a, b in matching.pairs
+    ]
+    pieces.extend(tnew(Leaf, (z,)) for z in matching.unmatched)
     return combine_balanced(pieces)
 
 
@@ -103,17 +112,18 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
     balanced tree per group, then merges groups Huffman-style keyed on the
     groups' largest magnitudes. Guarantees cost <= optimal + t * |sum(x)|.
     """
-    npos, nneg = _sign_counts(x)
-    if npos and nneg:
+    if not (x and _one_sign(x)):
+        _reject_empty_or_zero(x)
         raise ValueError("grouped strategy requires single-sign input")
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
+    negative = x[0] < 0
     width = 1 << t
     balanced = build_balanced.__wrapped__  # the GC is already paused here
     keyed = []  # (group max magnitude, group tree)
     for i in range(0, len(x), width):
         group = x[i : i + width]
-        keyed.append((-min(group) if nneg else max(group), balanced(group)))
+        keyed.append((-min(group) if negative else max(group), balanced(group)))
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
     keyed.sort(key=itemgetter(0))
@@ -150,23 +160,22 @@ def plan(
     promises that x is sorted ascending; it is checked for every strategy
     and selects no other code path.
     """
-    npos, nneg = _sign_counts(x)
+    _reject_empty_or_zero(x)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if presorted:
         check_ascending(x)
     model = ErrorModel(Fraction(1, 2**53) if alpha is None else alpha)
     n = len(x)
-    single_sign = npos == 0 or nneg == 0
     guarantee: Optional[Value] = None
     optimal: Optional[Value] = None
 
     if strategy == "balanced":
         tree = build_balanced(x)
-        if single_sign and n >= 2:
+        if n >= 2 and _one_sign(x):
             guarantee = _ceil_log2(n)
     elif strategy == "huffman":
-        if not single_sign:
+        if not _one_sign(x):
             raise ValueError("huffman strategy requires single-sign input")
         tree = build_huffman_single_sign(x)
         guarantee = 1

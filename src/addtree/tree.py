@@ -152,19 +152,23 @@ def build_balanced(values: Sequence[Value]) -> AdditionTree:
 def serialize(tree: AdditionTree) -> str:
     """Nested parenthesized form, e.g. "((1 2) 3)"."""
     out = []
+    write = out.append
     stack: list = [tree]
+    push = stack.append
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Leaf):
-            out.append(format_value(item.value))
-        else:
-            stack.append(")")
-            stack.append(item.right)
-            stack.append(" ")
-            stack.append(item.left)
-            stack.append("(")
+        node = stack.pop()
+        if isinstance(node, str):
+            write(node)
+            continue
+        # Walk down the left spine: each Internal opens at once and leaves
+        # its separator, right child and closing paren on the stack.
+        while isinstance(node, Internal):
+            write("(")
+            push(")")
+            push(node.right)
+            push(" ")
+            node = node.left
+        write(format_value(node.value))
     return "".join(out)
 
 

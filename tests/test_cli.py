@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from addtree import planner
-from addtree.cli import main
+from addtree.cli import main, read_values
 
 
 def write(tmp_path, name, text):
@@ -80,6 +81,21 @@ def test_empty_file_exit_2(tmp_path, capsys):
     path = write(tmp_path, "empty.txt", "# nothing\n")
     code, _, err = run(capsys, "plan", path)
     assert code == 2
+
+
+def test_read_values_comments_blank_lines_and_crlf(tmp_path):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"# header\r\n5\r\n\r\n  -3 # tail\r\n1/2\r\n   \r\n+07\r\n")
+    values = read_values(str(path))
+    assert values == [5, -3, Fraction(1, 2), 7]
+    assert [type(v) for v in values] == [int, int, Fraction, int]
+
+
+def test_oversized_literal_exit_2_names_the_line(tmp_path, capsys):
+    path = write(tmp_path, "long.txt", "1\n-2\n" + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "plan", path)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {path}:3: value literal is longer than 4300 characters\n"
 
 
 def test_usage_error_exit_1(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addtree.matching import split_by_sign
 from addtree.oracle import optimal_cost_dp
 from addtree.planner import (
     STRATEGIES,
@@ -140,6 +141,35 @@ def test_plan_dispatch():
         plan([1, -2], "huffman")
     with pytest.raises(ValueError):
         plan([1, 2], "nonsense")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: plan([], "bogus"), "input multiset is empty"),
+        (lambda: plan([1, 0, -1], "bogus"), "input values must be nonzero"),
+        (lambda: plan([1, -1], "bogus"), "unknown strategy 'bogus'"),
+        (lambda: plan([2, -1, 0], "critical", presorted=True), "nonzero"),
+        (lambda: plan([2, 1], "critical", presorted=True), "breaks ascending"),
+        (lambda: plan([1, 2], "critical", alpha=1), "alpha must satisfy"),
+        (lambda: plan([1, 2], "critical"), "critical strategy requires mixed-sign"),
+        (lambda: plan([1, -2], "huffman"), "huffman strategy requires single-sign"),
+        (lambda: plan([1, -2], "grouped", t=0), "grouped strategy requires single"),
+        (lambda: plan([1, 2], "grouped", t=0), "group parameter t must be >= 1"),
+        (lambda: plan_general([]), "input multiset is empty"),
+        (lambda: plan_general([0, 1, 2]), "input values must be nonzero"),
+        (lambda: plan_general([3, 1, 2]), "critical strategy requires mixed-sign"),
+        (lambda: plan_single_sign([], 0), "input multiset is empty"),
+        (lambda: plan_single_sign([1, 0, -1], 0), "input values must be nonzero"),
+        (lambda: plan_single_sign([-1, 0], 0), "input values must be nonzero"),
+        (lambda: plan_single_sign([1, -1], 0), "grouped strategy requires single"),
+        (lambda: split_by_sign([1, 0, -1]), "input values must be nonzero"),
+    ],
+)
+def test_validation_messages_and_their_order(call, message):
+    # Inputs that fail several checks pin which check reports first.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_plan_with_oracle_ratio():
