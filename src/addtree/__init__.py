@@ -24,7 +24,7 @@ from .matching import (
     match_multiset,
     minimum_critical_matching,
 )
-from .numeric import ErrorModel, ParseError, Value, exact_sum, format_value, parse_value
+from .numeric import ErrorModel, ParseError, Value, format_value, parse_value
 from .oracle import CapExceededError, OptimalResult, enumerate_trees, optimal_cost_dp
 from .planner import (
     PlanReport,
@@ -40,10 +40,8 @@ from .tree import (
     build_balanced,
     cost,
     depth,
-    evaluate_exact,
     parse_tree,
     serialize,
-    worst_case_error,
 )
 
 __all__ = [
@@ -71,8 +69,6 @@ __all__ = [
     "default_group_parameter",
     "depth",
     "enumerate_trees",
-    "evaluate_exact",
-    "exact_sum",
     "find_triple_partition",
     "fl_add",
     "format_value",
@@ -91,7 +87,6 @@ __all__ = [
     "serialize",
     "simulate",
     "validate_3par",
-    "worst_case_error",
 ]
 
 __version__ = "0.1.0"

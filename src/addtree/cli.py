@@ -3,7 +3,8 @@
 Input files carry one value per line; '#' starts a comment and blank lines
 are ignored. Reports are JSON on stdout with deterministic field order.
 Exit codes: 0 success, 1 usage error, 2 invalid input (also input too large
-to process: MemoryError or RecursionError), 3 oracle size cap.
+to process: MemoryError or RecursionError, or a result too long to print
+under sys.get_int_max_str_digits()), 3 oracle size cap.
 """
 
 from __future__ import annotations

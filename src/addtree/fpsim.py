@@ -6,7 +6,12 @@ rounding of at most alpha = 2^-p. Running an addition tree through the
 simulator measures the realized summation error against the predicted
 worst-case bound alpha * cost(tree).
 
-All arithmetic is exact rational; rounded values are dyadic rationals.
+Arithmetic is exact on integer (significand, exponent) pairs m * 2^e. An
+addition aligns its two operands' exponents with one shift, and one
+integer ties-to-even step (_round) does every rounding; each shift belongs
+to one addition, so no input is scaled to a common denominator. Fraction
+appears only at the result boundary, when the values a caller sees are
+assembled.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import Value, as_value
-from .tree import AdditionTree, Internal, cost
+from .tree import AdditionTree, Internal
 
 
 @dataclass(frozen=True)
@@ -33,37 +38,45 @@ class Precision:
         return Fraction(1, 2**self.significand_bits)
 
 
+def _round(m: int, e: int, p: int) -> tuple:
+    """Round m * 2^e to a p-bit significand, ties to even; returns (m', e')
+    with |m'| <= 2^p. Exact when |m| already fits in p bits."""
+    a = -m if m < 0 else m
+    shift = a.bit_length() - p
+    if shift <= 0:
+        return m, e
+    q = a >> shift
+    half = 1 << (shift - 1)
+    r = a & (half + half - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return (-q if m < 0 else q), e + shift
+
+
+def _value(m: int, e: int) -> Value:
+    return m << e if e >= 0 else as_value(Fraction(m, 1 << -e))
+
+
 def round_to_precision(v: Value, prec: Precision) -> Value:
     """Nearest representable value +-s * 2^e with 2^(p-1) <= s < 2^p,
     ties to even significand. Exact on dyadics that already fit."""
-    if v == 0:
-        return 0
     f = Fraction(v)
-    num, den = abs(f.numerator), f.denominator
+    num, den = f.numerator, f.denominator
     p = prec.significand_bits
-    # floor(log2(num / den)) by bit lengths, with an exact one-off fix-up.
-    k = num.bit_length() - den.bit_length()
-    if (num >= den << k) if k >= 0 else (num << -k >= den):
-        floor_log2 = k
+    if den & (den - 1) == 0:
+        m, e = num, 1 - den.bit_length()
     else:
-        floor_log2 = k - 1
-    # Exponent e places s = |v| / 2^e in [2^(p-1), 2^p).
-    e = floor_log2 - (p - 1)
-    # Round s to the nearest integer, ties to even.
-    if e >= 0:
-        q, r = divmod(num, den << e)
-        d = den << e
-    else:
-        q, r = divmod(num << -e, den)
-        d = den
-    if 2 * r > d or (2 * r == d and q % 2 == 1):
-        q += 1
-    if q == 1 << p:
-        q = 1 << (p - 1)
-        e += 1
-    sign = -1 if f < 0 else 1
-    scaled = q << e if e >= 0 else Fraction(q, 1 << -e)
-    return as_value(sign * scaled)
+        # Not dyadic, so the remainder of any floor is nonzero: take the
+        # floor of |v| * 2^s with at least p + 1 bits, and append a set
+        # sticky bit below the rounding position, so a floor that lies on
+        # a midpoint rounds up and no tie arises.
+        a = abs(num)
+        s = p + 1 - a.bit_length() + den.bit_length()
+        q = (a << s) // den if s >= 0 else a // (den << -s)
+        m, e = q << 1 | 1, -s - 1
+        if num < 0:
+            m = -m
+    return _value(*_round(m, e, p))
 
 
 def is_representable(v: Value, prec: Precision) -> bool:
@@ -108,29 +121,59 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
     """Evaluate the tree bottom-up with a rounded add at every internal node."""
     # One iterative post-order pass; trees from the planners can be deep.
     # The right child is visited first, so bad leaves are listed right to
-    # left. None marks an addition whose operands are the top two sums.
+    # left. None marks an addition whose operands are the top two entries.
+    # An entry is (rounded m, e, exact m, e); the exact sums also give the
+    # cost C(T) as cost_m * 2^cost_e.
+    p = prec.significand_bits
+    rnd = _round
     sums: list = []
+    pop, push = sums.pop, sums.append
     bad = []
+    cost_m = cost_e = 0
     stack: list = [tree]
     while stack:
         node = stack.pop()
         if node is None:
-            b = sums.pop()
-            sums.append(round_to_precision(sums.pop() + b, prec))
+            bm, be, bx, bxe = pop()
+            am, ae, ax, axe = pop()
+            if ae > be:
+                am <<= ae - be
+                ae = be
+            elif be > ae:
+                bm <<= be - ae
+            m, e = rnd(am + bm, ae, p)
+            if axe > bxe:
+                ax <<= axe - bxe
+                axe = bxe
+            elif bxe > axe:
+                bx <<= bxe - axe
+            x = ax + bx
+            if axe < cost_e:
+                cost_m <<= cost_e - axe
+                cost_e = axe
+            cost_m += (x if x >= 0 else -x) << (axe - cost_e)
+            push((m, e, x, axe))
         elif isinstance(node, Internal):
             stack += (None, node.left, node.right)
         else:
-            if not is_representable(node.value, prec):
-                bad.append(node.value)
-            sums.append(node.value)
+            v = node.value
+            den = v.denominator
+            if den & (den - 1):
+                bad.append(v)  # not dyadic
+                push((0, 0, 0, 0))
+                continue
+            m, e = v.numerator, 1 - den.bit_length()
+            rm, re = rnd(m, e, p)
+            if rm << (re - e) != m:
+                bad.append(v)
+            push((m, e, m, e))
     if bad:
-        raise ValueError(
-            f"leaves not representable at {prec.significand_bits} bits: {bad}"
-        )
-    computed, true_sum = sums[0], tree.value
+        raise ValueError(f"leaves not representable at {p} bits: {bad}")
+    m, e, x, xe = sums[0]
+    computed, true_sum = _value(m, e), _value(x, xe)
     return SimulationResult(
         computed=computed,
         true_sum=true_sum,
-        abs_error=abs(computed - true_sum),
-        bound=as_value(prec.alpha * cost(tree)),
+        abs_error=as_value(abs(computed - true_sum)),
+        bound=_value(cost_m, cost_e - p),
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import le
 from sys import get_int_max_str_digits
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Value = Union[int, Fraction]
 
@@ -75,31 +75,36 @@ def check_exponent(token: str, limit: int) -> None:
 
 def format_value(v: Value) -> str:
     """Render a rational as a finite decimal when its denominator is of the
-    form 2^a * 5^b, otherwise as "p/q"."""
+    form 2^a * 5^b, otherwise as "p/q".
+
+    A digit string longer than sys.get_int_max_str_digits() raises
+    ValueError with a message naming that limit.
+    """
     v = as_value(v)
-    if isinstance(v, int):
-        return str(v)
-    num, den = v.numerator, v.denominator
-    d = den
-    two = five = 0
-    while d % 2 == 0:
-        d //= 2
-        two += 1
-    while d % 5 == 0:
-        d //= 5
-        five += 1
-    if d != 1:
-        return f"{num}/{den}"
-    digits = max(two, five)
-    scaled = abs(num) * (10**digits // den)
-    sign = "-" if num < 0 else ""
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
-
-
-def exact_sum(values: Iterable[Value]) -> Value:
-    """Exact sum; the empty sum is 0."""
-    return as_value(sum(values))
+    try:
+        if isinstance(v, int):
+            return str(v)
+        num, den = v.numerator, v.denominator
+        d = den
+        two = five = 0
+        while d % 2 == 0:
+            d //= 2
+            two += 1
+        while d % 5 == 0:
+            d //= 5
+            five += 1
+        if d != 1:
+            return f"{num}/{den}"
+        digits = max(two, five)
+        scaled = abs(num) * (10**digits // den)
+        sign = "-" if num < 0 else ""
+        whole, frac = divmod(scaled, 10**digits)
+        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    except ValueError:  # only int-to-str conversion raises here
+        raise ValueError(
+            "a computed result exceeds the int/str conversion limit of "
+            f"{get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+        ) from None
 
 
 def check_ascending(x: Sequence[Value]) -> None:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import wraps
 from typing import Iterator, Sequence, Union
 
-from .numeric import ErrorModel, ParseError, Value, format_value, parse_value
+from .numeric import ParseError, Value, format_value, parse_value
 
 
 class Leaf(namedtuple("_LeafBase", ("value",))):
@@ -74,15 +74,6 @@ def cost(tree: AdditionTree) -> Value:
         if isinstance(node, Internal):
             total += abs(node.value)
     return total
-
-
-def worst_case_error(tree: AdditionTree, model: ErrorModel) -> Value:
-    return model.alpha * cost(tree)
-
-
-def evaluate_exact(tree: AdditionTree) -> Value:
-    """Root value; equals the exact sum of the leaves by construction."""
-    return tree.value
 
 
 def depth(tree: AdditionTree) -> int:

@@ -98,6 +98,18 @@ def test_oversized_literal_exit_2_names_the_line(tmp_path, capsys):
     assert err == f"invalid input: {path}:3: value literal is longer than 4300 characters\n"
 
 
+@pytest.mark.parametrize("text", ["9e4299\n9e4299\n", "1e-4300\n-3\n"])
+def test_result_over_digit_limit_exit_2(tmp_path, capsys, text):
+    # Each literal is under the cap; the cost or the bound is not.
+    path = write(tmp_path, "wide.txt", text)
+    code, out, err = run(capsys, "plan", "--strategy", "balanced", path)
+    assert code == 2 and out == ""
+    assert err == (
+        "invalid input: a computed result exceeds the int/str conversion limit "
+        "of 4300 digits (sys.get_int_max_str_digits())\n"
+    )
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "plan", "--strategy", "bogus", "nofile")
     assert code == 1
@@ -144,6 +156,13 @@ def test_simulate_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["abs_error"] == "1"
     assert payload["computed"] == "8" and payload["true_sum"] == "9"
+
+
+def test_simulate_non_dyadic_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "tenth.txt", "1\n0.1\n2\n")
+    code, out, err = run(capsys, "simulate", "--precision", "53", path)
+    assert code == 2 and out == ""
+    assert err == "invalid input: leaves not representable at 53 bits: [Fraction(1, 10)]\n"
 
 
 def test_missing_file_exit_2(capsys):

@@ -12,9 +12,10 @@ from addtree.fpsim import (
     round_to_precision,
     simulate,
 )
-from addtree.tree import Leaf, build_balanced
+from addtree.planner import plan
+from addtree.tree import Internal, Leaf, build_balanced, depth
 
-P3 = Precision(3)
+P2, P3 = Precision(2), Precision(3)
 
 
 def test_precision_validation():
@@ -70,6 +71,70 @@ def test_simulate_examples():
 def test_simulate_rejects_bad_leaves():
     with pytest.raises(ValueError, match="9"):
         simulate(build_balanced([9, 1]), P3)
+
+
+def test_bad_leaves_listed_right_to_left():
+    # Non-dyadic leaves and leaves too wide for 3 bits, mixed.
+    tree = build_balanced([Fraction(1, 10), 9, 3, Fraction(1, 3), 17])
+    with pytest.raises(ValueError) as info:
+        simulate(tree, P3)
+    assert str(info.value) == (
+        "leaves not representable at 3 bits: [17, Fraction(1, 3), 9, Fraction(1, 10)]"
+    )
+
+
+def test_simulate_left_deep_chain():
+    # The running sum passes 2^24 halfway, so the later additions round.
+    values = [257 + i % 3 for i in range(10**5)]
+    node = Leaf(values[0])
+    for v in values[1:]:
+        node = Internal(node, Leaf(v))
+    assert depth(node) == 10**5 - 1
+    prec = Precision(24)
+    computed = exact = values[0]
+    total = 0
+    for v in values[1:]:
+        computed = round_to_precision(computed + v, prec)
+        exact += v
+        total += exact
+    sim = simulate(node, prec)
+    assert (sim.computed, sim.true_sum) == (computed, exact)
+    assert sim.abs_error == abs(computed - exact) > 0
+    assert sim.bound == prec.alpha * total
+
+
+@pytest.mark.parametrize("p", [2, 53])
+def test_simulate_wide_exponent_spread(p):
+    tiny, huge = Fraction(1, 2**4000), 2**4000
+    sim = simulate(build_balanced([tiny, 3, huge, 6]), Precision(p))
+    # Both tiny + 3 and huge + 6 round away the smaller operand.
+    assert sim.computed == huge
+    assert sim.true_sum == huge + 9 + tiny
+    assert sim.abs_error == 9 + tiny
+    assert sim.bound == (3 + tiny + huge + 6 + sim.true_sum) / 2**p
+
+
+def test_long_trailing_zeros_are_representable():
+    assert is_representable(3 * 2**100, P2)
+    assert not is_representable(5 * 2**100, P2)
+    sim = simulate(build_balanced([3 * 2**100, 2**101]), P2)
+    # 5 * 2^100 is a tie between 4 and 6 times 2^100; 4 has the even significand.
+    assert (sim.computed, sim.abs_error) == (2**102, 2**100)
+
+
+def test_leaf_only_and_all_negative_trees():
+    leaf = simulate(Leaf(Fraction(-3, 4)), P3)
+    assert (leaf.computed, leaf.true_sum, leaf.abs_error, leaf.bound, leaf.ratio) == (
+        Fraction(-3, 4), Fraction(-3, 4), 0, 0, 0,
+    )
+    neg = simulate(build_balanced([-5, -4]), P3)
+    assert (neg.computed, neg.true_sum, neg.abs_error) == (-8, -9, 1)
+    x = [5, 4, 7, 6, 3, 12, 14]
+    for strategy in ("balanced", "huffman", "grouped"):
+        pos = simulate(plan(x, strategy).tree, P3)
+        neg = simulate(plan([-v for v in x], strategy).tree, P3)
+        assert (neg.computed, neg.true_sum) == (-pos.computed, -pos.true_sum)
+        assert (neg.abs_error, neg.bound) == (pos.abs_error, pos.bound)
 
 
 representable_24 = st.integers(min_value=-(2**24) + 1, max_value=2**24 - 1)

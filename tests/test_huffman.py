@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.oracle import optimal_cost_dp
-from addtree.tree import Leaf, cost, evaluate_exact
+from addtree.tree import Leaf, cost
 
 positive_lists = st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=9)
 
@@ -51,7 +51,7 @@ def test_two_queue_matches_heap(values):
 
 @given(positive_lists)
 def test_huffman_conserves_sum(values):
-    assert evaluate_exact(build_huffman(values)) == sum(values)
+    assert build_huffman(values).value == sum(values)
 
 
 def test_two_queue_linear_comparison_count():

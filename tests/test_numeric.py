@@ -10,7 +10,6 @@ from addtree.numeric import (
     ParseError,
     as_value,
     check_exponent,
-    exact_sum,
     format_value,
     parse_value,
 )
@@ -113,12 +112,6 @@ def test_length_cap_applies_before_int():
     for token in ["9" * 4301, "+" + "1" * 4300, "0." + "5" * 4299]:
         with pytest.raises(ParseError, match="longer than 4300 characters"):
             parse_value(token)
-
-
-def test_exact_sum():
-    assert exact_sum([1, 2, 3]) == 6
-    assert exact_sum([]) == 0
-    assert exact_sum([Fraction(1, 10), Fraction(2, 10)]) == Fraction(3, 10)
 
 
 @given(rationals, rationals)

@@ -1,11 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree.numeric import ErrorModel, ParseError, exact_sum
+from addtree.numeric import ParseError
 from addtree.planner import plan
 from addtree.tree import (
     Internal,
@@ -13,11 +12,9 @@ from addtree.tree import (
     build_balanced,
     cost,
     depth,
-    evaluate_exact,
     leaf_values,
     parse_tree,
     serialize,
-    worst_case_error,
 )
 
 values_lists = st.lists(
@@ -35,13 +32,6 @@ def test_cost_examples():
     assert cost(Leaf(7)) == 0
 
 
-def test_worst_case_error():
-    assert worst_case_error(tree_123(), ErrorModel(Fraction(1, 8))) == Fraction(9, 8)
-    assert worst_case_error(tree_123(), ErrorModel(0)) == 0
-    t = Internal(Internal(Leaf(5), Leaf(-5)), Leaf(3))
-    assert worst_case_error(t, ErrorModel(Fraction(1, 1000))) == Fraction(3, 1000)
-
-
 def test_build_balanced_examples():
     t = build_balanced([1, 2, 3, 4])
     assert serialize(t) == "((1 2) (3 4))"
@@ -55,12 +45,6 @@ def test_build_balanced_examples():
 def test_build_balanced_empty():
     with pytest.raises(ValueError):
         build_balanced([])
-
-
-def test_evaluate_exact():
-    assert evaluate_exact(tree_123()) == 6
-    assert evaluate_exact(Internal(Internal(Leaf(5), Leaf(-5)), Leaf(3))) == 3
-    assert evaluate_exact(Leaf(-4)) == -4
 
 
 def test_serialize_examples():
@@ -80,14 +64,14 @@ def test_parse_errors_report_position():
 
 @given(values_lists)
 def test_conservation(values):
-    assert evaluate_exact(build_balanced(values)) == exact_sum(values)
+    assert build_balanced(values).value == sum(values)
 
 
 @given(values_lists)
 def test_cost_bounds_root_for_n_ge_2(values):
     tree = build_balanced(values)
     if len(values) >= 2:
-        assert cost(tree) >= abs(exact_sum(values))
+        assert cost(tree) >= abs(sum(values))
 
 
 @given(values_lists)
