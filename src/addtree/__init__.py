@@ -21,10 +21,10 @@ from .huffman import build_huffman, build_huffman_sorted
 from .matching import (
     CriticalMatching,
     brute_force_matching,
-    match_multiset,
     minimum_critical_matching,
+    split_by_sign,
 )
-from .numeric import ErrorModel, ParseError, Value, format_value, parse_value
+from .numeric import ParseError, Value, format_value, parse_value
 from .oracle import CapExceededError, OptimalResult, enumerate_trees, optimal_cost_dp
 from .planner import (
     PlanReport,
@@ -48,7 +48,6 @@ __all__ = [
     "AdditionTree",
     "CapExceededError",
     "CriticalMatching",
-    "ErrorModel",
     "Internal",
     "Leaf",
     "OptimalResult",
@@ -72,7 +71,6 @@ __all__ = [
     "find_triple_partition",
     "fl_add",
     "format_value",
-    "match_multiset",
     "minimum_critical_matching",
     "optimal_cost_dp",
     "parse_tree",
@@ -86,6 +84,7 @@ __all__ = [
     "round_to_precision",
     "serialize",
     "simulate",
+    "split_by_sign",
     "validate_3par",
 ]
 

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import fpsim, hardness, planner, tree
 from .numeric import ParseError, Value, format_value, parse_value
-from .oracle import CapExceededError, optimal_cost_dp
+from .oracle import CapExceededError
 
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
@@ -84,17 +84,15 @@ def cmd_plan(args) -> int:
 
 def cmd_oracle(args) -> int:
     values = read_values(args.input)
-    if any(v == 0 for v in values):
-        raise ValueError("input values must be nonzero")
-    result = optimal_cost_dp(values, cap=args.cap)
+    report = planner.plan(values, "optimal", oracle_cap=args.cap)
     if args.output == "sexpr":
-        print(tree.serialize(result.witness))
+        print(tree.serialize(report.tree))
     else:
         _print_json(
             {
                 "n": len(values),
-                "optimal_cost": format_value(result.optimal_cost),
-                "witness": tree.serialize(result.witness),
+                "optimal_cost": format_value(report.optimal_cost),
+                "witness": tree.serialize(report.tree),
             }
         )
     return 0

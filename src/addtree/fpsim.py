@@ -168,7 +168,8 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
                 bad.append(v)
             push((m, e, m, e))
     if bad:
-        raise ValueError(f"leaves not representable at {p} bits: {bad}")
+        more = f" (first 20 of {len(bad)})" if len(bad) > 20 else ""
+        raise ValueError(f"leaves not representable at {p} bits: {bad[:20]}{more}")
     m, e, x, xe = sums[0]
     computed, true_sum = _value(m, e), _value(x, xe)
     return SimulationResult(

@@ -64,18 +64,13 @@ def minimum_critical_matching(
     if negatives[0] >= 0:
         raise ValueError(f"expected strictly negative value, got {negatives[0]}")
 
-    l, m = len(positives), len(negatives)
-    # negatives nonincreasing means |negatives| is nondecreasing.
-    if l == m:
-        pairs = tuple(zip(positives, negatives))
-        unmatched = ()
-    elif l < m:
-        pairs = tuple((positives[i], negatives[i + m - l]) for i in range(l))
-        unmatched = tuple(negatives[: m - l])
-    else:
-        pairs = tuple((positives[i + l - m], negatives[i]) for i in range(m))
-        unmatched = tuple(positives[: l - m])
-    return CriticalMatching(pairs=pairs, unmatched=unmatched)
+    # negatives nonincreasing means |negatives| is nondecreasing: the last
+    # k values of each side pair up, and the longer side's head is left over.
+    k = min(len(positives), len(negatives))
+    skip_pos, skip_neg = len(positives) - k, len(negatives) - k
+    pairs = zip(islice(positives, skip_pos, None), islice(negatives, skip_neg, None))
+    unmatched = (*islice(positives, skip_pos), *islice(negatives, skip_neg))
+    return CriticalMatching(pairs=tuple(pairs), unmatched=unmatched)
 
 
 def split_by_sign(x: Sequence[Value]) -> tuple:
@@ -89,12 +84,6 @@ def split_by_sign(x: Sequence[Value]) -> tuple:
     positives.sort()
     negatives.sort(reverse=True)
     return positives, negatives
-
-
-def match_multiset(x: Sequence[Value]) -> CriticalMatching:
-    """Convenience wrapper: sort, partition by sign, match."""
-    positives, negatives = split_by_sign(x)
-    return minimum_critical_matching(positives, negatives)
 
 
 def brute_force_matching(x: Sequence[Value]) -> Value:

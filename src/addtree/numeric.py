@@ -8,7 +8,6 @@ otherwise; both are exact and interoperate freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import le
@@ -85,22 +84,28 @@ def format_value(v: Value) -> str:
         if isinstance(v, int):
             return str(v)
         num, den = v.numerator, v.denominator
-        d = den
-        two = five = 0
-        while d % 2 == 0:
-            d //= 2
-            two += 1
+        two = (den & -den).bit_length() - 1
+        d = den >> two
+        five = 0
         while d % 5 == 0:
             d //= 5
             five += 1
         if d != 1:
             return f"{num}/{den}"
         digits = max(two, five)
-        scaled = abs(num) * (10**digits // den)
+        whole, rest = divmod(abs(num), den)
+        # The fractional digits are frac = rest * 2^(digits - two) *
+        # 5^(digits - five) >= 2^bits, as rest >= 1 and 5 >= 2^2. Over the
+        # limit for certain once 2^bits > 10^limit, which 3 * bits >=
+        # 10 * limit ensures; checked before 10**digits is built.
+        bits = rest.bit_length() - 1 + 3 * digits - two - 2 * five
+        limit = get_int_max_str_digits()
+        if limit and 3 * bits >= 10 * limit:
+            raise ValueError
+        frac = rest * (10**digits // den)
         sign = "-" if num < 0 else ""
-        whole, frac = divmod(scaled, 10**digits)
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
-    except ValueError:  # only int-to-str conversion raises here
+    except ValueError:  # from int-to-str conversion or the check above
         raise ValueError(
             "a computed result exceeds the int/str conversion limit of "
             f"{get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
@@ -116,15 +121,3 @@ def check_ascending(x: Sequence[Value]) -> None:
             f"input is not sorted: value {x[i + 1]} at position {i + 2} "
             "breaks ascending order"
         )
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Standard floating-point model with unit roundoff alpha, 0 <= alpha < 1."""
-
-    alpha: Value
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_value(self.alpha))
-        if not (0 <= self.alpha < 1):
-            raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {self.alpha}")

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .huffman import build_huffman_single_sign, two_queue_merge
 from .matching import minimum_critical_matching, split_by_sign
-from .numeric import ErrorModel, Value, as_value, check_ascending, format_value
+from .numeric import Value, as_value, check_ascending, format_value
 from .oracle import optimal_cost_dp
 from .tree import (
     AdditionTree,
@@ -118,7 +118,8 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
     negative = x[0] < 0
-    width = 1 << t
+    # Any width above len(x) gives one group; capping t keeps 1 << t small.
+    width = 1 << min(t, len(x).bit_length())
     balanced = build_balanced.__wrapped__  # the GC is already paused here
     keyed = []  # (group max magnitude, group tree)
     for i in range(0, len(x), width):
@@ -165,7 +166,9 @@ def plan(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if presorted:
         check_ascending(x)
-    model = ErrorModel(Fraction(1, 2**53) if alpha is None else alpha)
+    alpha = Fraction(1, 2**53) if alpha is None else as_value(alpha)
+    if not (0 <= alpha < 1):
+        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
     n = len(x)
     guarantee: Optional[Value] = None
     optimal: Optional[Value] = None
@@ -203,7 +206,7 @@ def plan(
         strategy=strategy,
         tree=tree,
         cost=c,
-        error_bound=model.alpha * c,
+        error_bound=alpha * c,
         guarantee_factor=guarantee,
         optimal_cost=optimal,
         observed_ratio=ratio,

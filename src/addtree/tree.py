@@ -10,6 +10,7 @@ rounding error under unit roundoff alpha is alpha times the cost.
 from __future__ import annotations
 
 import gc
+import re
 from collections import namedtuple
 from functools import wraps
 from typing import Iterator, Sequence, Union
@@ -43,37 +44,24 @@ AdditionTree = Union[Leaf, Internal]
 
 
 def nodes(tree: AdditionTree) -> Iterator[AdditionTree]:
-    """All nodes, iteratively (trees may be deep)."""
+    """All nodes in left-to-right preorder, iteratively (trees may be deep)."""
     stack = [tree]
     while stack:
         node = stack.pop()
         yield node
         if isinstance(node, Internal):
-            stack.append(node.left)
             stack.append(node.right)
+            stack.append(node.left)
 
 
 def leaf_values(tree: AdditionTree) -> list:
     """Leaf values in left-to-right order."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.value)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    return [node.value for node in nodes(tree) if isinstance(node, Leaf)]
 
 
 def cost(tree: AdditionTree) -> Value:
     """Sum of |value| over internal nodes; a lone leaf costs 0."""
-    total = 0
-    for node in nodes(tree):
-        if isinstance(node, Internal):
-            total += abs(node.value)
-    return total
+    return sum(abs(node.value) for node in nodes(tree) if isinstance(node, Internal))
 
 
 def depth(tree: AdditionTree) -> int:
@@ -163,53 +151,48 @@ def serialize(tree: AdditionTree) -> str:
     return "".join(out)
 
 
+# A paren, or a run of anything else that is not whitespace; \s matches
+# exactly the characters for which str.isspace() is true.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 @without_gc
 def parse_tree(text: str) -> AdditionTree:
     """Inverse of serialize; errors carry the character position.
 
-    Iterative, so the nesting depth is not limited by the call stack.
+    One pass over the tokens with a stack of open "(", so the nesting depth
+    is not limited by the call stack.
     """
-    pos = 0
-    n = len(text)
+    tokens = _TOKEN.finditer(text)
     open_nodes: list = []  # children parsed so far, one list per open "("
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    while True:
-        skip_ws()
-        if pos >= n:
-            raise ParseError(f"unexpected end of input at position {pos}")
-        if text[pos] == "(":
-            pos += 1
+    for match in tokens:
+        token = match[0]
+        if token == "(":
             open_nodes.append([])
             continue
-        if text[pos] == ")":
-            raise ParseError(f"unexpected ')' at position {pos}")
-        start = pos
-        while pos < n and not text[pos].isspace() and text[pos] not in "()":
-            pos += 1
+        if token == ")":
+            raise ParseError(f"unexpected ')' at position {match.start()}")
         try:
-            node = Leaf(parse_value(text[start:pos]))
+            node = Leaf(parse_value(token))
         except ParseError as exc:
-            raise ParseError(f"{exc} at position {start}") from None
+            raise ParseError(f"{exc} at position {match.start()}") from None
         # Close every "(" whose second child is now complete.
         while open_nodes:
             children = open_nodes[-1]
             children.append(node)
             if len(children) < 2:
                 break
-            skip_ws()
-            if pos >= n or text[pos] != ")":
-                raise ParseError(f"expected ')' at position {pos}")
-            pos += 1
+            close = next(tokens, None)
+            if close is None or close[0] != ")":
+                where = len(text) if close is None else close.start()
+                raise ParseError(f"expected ')' at position {where}")
             open_nodes.pop()
             node = Internal(*children)
         if not open_nodes:
             break
-    skip_ws()
-    if pos != n:
-        raise ParseError(f"trailing input at position {pos}")
+    else:
+        raise ParseError(f"unexpected end of input at position {len(text)}")
+    extra = next(tokens, None)
+    if extra is not None:
+        raise ParseError(f"trailing input at position {extra.start()}")
     return node

@@ -17,7 +17,7 @@ from addtree.hardness import (
     reduce_to_addition_tree,
 )
 from addtree.huffman import build_huffman, build_huffman_sorted
-from addtree.matching import brute_force_matching, match_multiset, minimum_critical_matching
+from addtree.matching import brute_force_matching, minimum_critical_matching, split_by_sign
 from addtree.oracle import enumerate_trees, optimal_cost_dp
 from addtree.planner import default_group_parameter, plan_general, plan_single_sign
 from addtree.tree import build_balanced, cost
@@ -61,7 +61,7 @@ def test_criterion_3_matching_minimality():
     rng = random.Random(1003)
     for _ in range(200):
         x = mixed_multiset(rng, 10)
-        assert match_multiset(x).total == brute_force_matching(x)
+        assert minimum_critical_matching(*split_by_sign(x)).total == brute_force_matching(x)
     report(3, True, "200/200 exact")
 
 
@@ -70,7 +70,7 @@ def test_criterion_4_matching_lower_bound():
     violations = 0
     for _ in range(50):
         x = mixed_multiset(rng, 6)
-        lower = match_multiset(x).total
+        lower = minimum_critical_matching(*split_by_sign(x)).total
         for tree in enumerate_trees(x):
             if 2 * cost(tree) < lower:
                 violations += 1

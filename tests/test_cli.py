@@ -1,10 +1,14 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from addtree import planner
 from addtree.cli import main, read_values
+from addtree.numeric import as_value, format_value
 
 
 def write(tmp_path, name, text):
@@ -91,6 +95,52 @@ def test_read_values_comments_blank_lines_and_crlf(tmp_path):
     assert [type(v) for v in values] == [int, int, Fraction, int]
 
 
+# Comment text may hold anything but a line break, '#' included.
+comments = st.text(alphabet="# abc-(1).\t", max_size=8).map(lambda c: "#" + c)
+pads = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def value_files(draw):
+    """(file bytes, values): one value per line with spaces around it and an
+    optional trailing comment, blank and comment-only lines in between, and
+    LF or CRLF line ends."""
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+                st.fractions(max_denominator=1000).filter(bool).map(as_value),
+            ),
+            max_size=12,
+        )
+    )
+    lines = []
+    for v in values:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(pads) + draw(st.one_of(st.just(""), comments)))
+        token = format_value(v)
+        if isinstance(v, int) and v > 0 and draw(st.booleans()):
+            token = "+" + token
+        tail = draw(st.one_of(st.just(""), comments))
+        lines.append(draw(pads) + token + draw(pads) + tail)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text.encode(), values
+
+
+@given(value_files())
+def test_read_values_fuzz(tmp_path_factory, case):
+    data, values = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(data)
+    if not values:
+        with pytest.raises(ValueError, match="no values found"):
+            read_values(str(path))
+        return
+    got = read_values(str(path))
+    assert got == values
+    assert [type(v) for v in got] == [type(v) for v in values]
+
+
 def test_oversized_literal_exit_2_names_the_line(tmp_path, capsys):
     path = write(tmp_path, "long.txt", "1\n-2\n" + "9" * 5000 + "\n")
     code, out, err = run(capsys, "plan", path)
@@ -163,6 +213,27 @@ def test_simulate_non_dyadic_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "simulate", "--precision", "53", path)
     assert code == 2 and out == ""
     assert err == "invalid input: leaves not representable at 53 bits: [Fraction(1, 10)]\n"
+
+
+def test_simulate_huge_precision_fails_fast(tmp_path, capsys):
+    # The bound has 10^8 fractional bits; the digit limit is known to be
+    # exceeded before any of its digits are computed.
+    path = write(tmp_path, "three.txt", "1\n0.5\n3\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "--precision", "100000000", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == (
+        "invalid input: a computed result exceeds the int/str conversion limit "
+        "of 4300 digits (sys.get_int_max_str_digits())\n"
+    )
+
+
+def test_oracle_zero_value_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "zero.txt", "1\n0\n-1\n")
+    code, out, err = run(capsys, "oracle", path)
+    assert code == 2 and out == ""
+    assert err == "invalid input: input values must be nonzero\n"
 
 
 def test_missing_file_exit_2(capsys):

@@ -83,6 +83,17 @@ def test_bad_leaves_listed_right_to_left():
     )
 
 
+@pytest.mark.parametrize("n, suffix", [(20, ""), (25, " (first 20 of 25)")])
+def test_bad_leaves_message_lists_at_most_20(n, suffix):
+    # Odd values from 17 up need at least 5 bits.
+    values = [17 + 2 * i for i in range(n)]
+    with pytest.raises(ValueError) as info:
+        simulate(build_balanced(values), P3)
+    assert str(info.value) == (
+        f"leaves not representable at 3 bits: {values[::-1][:20]}{suffix}"
+    )
+
+
 def test_simulate_left_deep_chain():
     # The running sum passes 2^24 halfway, so the later additions round.
     values = [257 + i % 3 for i in range(10**5)]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from addtree.matching import (
     brute_force_matching,
-    match_multiset,
     minimum_critical_matching,
+    split_by_sign,
 )
 from addtree.oracle import CapExceededError, enumerate_trees
 from addtree.tree import cost
@@ -78,7 +78,7 @@ def test_brute_force_cap():
 def test_algorithm_matches_brute_force(x):
     if not any(v > 0 for v in x) or not any(v < 0 for v in x):
         return
-    assert match_multiset(x).total == brute_force_matching(x)
+    assert minimum_critical_matching(*split_by_sign(x)).total == brute_force_matching(x)
 
 
 @given(
@@ -102,6 +102,6 @@ def test_matching_lower_bounds_every_tree():
             x = [rng.choice([1, -1]) * rng.randint(1, 30) for _ in range(n)]
             if any(v > 0 for v in x) and any(v < 0 for v in x):
                 break
-        lower = match_multiset(x).total
+        lower = minimum_critical_matching(*split_by_sign(x)).total
         for tree in enumerate_trees(x):
             assert 2 * cost(tree) >= lower

@@ -1,12 +1,12 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from addtree.numeric import (
-    ErrorModel,
     ParseError,
     as_value,
     check_exponent,
@@ -141,10 +141,66 @@ def test_format_parse_roundtrip(v):
     assert parse_value(format_value(v)) == v
 
 
-def test_error_model_bounds():
-    ErrorModel(0)
-    ErrorModel(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ErrorModel(1)
-    with pytest.raises(ValueError):
-        ErrorModel(Fraction(-1, 2))
+def reference_format_value(v):
+    """format_value as it was before it counted twos by the lowest set bit
+    and checked the digit limit by bit lengths: one division per factor of
+    two, and every digit string built before the limit is known."""
+    v = as_value(v)
+    try:
+        if isinstance(v, int):
+            return str(v)
+        num, den = v.numerator, v.denominator
+        d = den
+        two = five = 0
+        while d % 2 == 0:
+            d //= 2
+            two += 1
+        while d % 5 == 0:
+            d //= 5
+            five += 1
+        if d != 1:
+            return f"{num}/{den}"
+        digits = max(two, five)
+        scaled = abs(num) * (10**digits // den)
+        sign = "-" if num < 0 else ""
+        whole, frac = divmod(scaled, 10**digits)
+        return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    except ValueError:
+        raise ValueError(
+            "a computed result exceeds the int/str conversion limit of "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+        ) from None
+
+
+def format_outcome(fmt, v):
+    try:
+        return "text", fmt(v)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Exponents of 2 and 5 on both sides of where the 4300-digit limit starts
+# to bite, numerators up to 60 digits, and a factor of 3 for the "p/q"
+# form. The test builds the Fraction itself: a Fraction this wide has no
+# repr under the limit, and Hypothesis prints its arguments.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.one_of(st.integers(0, 40), st.integers(5000, 9000)),
+    st.one_of(st.integers(0, 40), st.integers(4000, 7000)),
+    st.sampled_from([1, 1, 1, 3]),
+)
+@example(1, 7166, 0, 1)
+@example(1, 7167, 0, 1)
+@example(3, 6152, 0, 1)
+@example(7, 6000, 6000, 1)
+@example(-(10**60) + 1, 7100, 0, 1)
+def test_format_value_matches_reference(num, twos, fives, odd):
+    v = Fraction(num, 2**twos * 5**fives * odd)
+    assert format_outcome(format_value, v) == format_outcome(reference_format_value, v)
+
+
+def test_format_value_fails_fast_on_a_huge_power_of_two():
+    # One division per factor of two took hours here; str() was never reached.
+    with pytest.raises(ValueError, match="conversion limit of 4300 digits"):
+        format_value(Fraction(3, 2**10**8))

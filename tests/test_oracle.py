@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman
-from addtree.matching import match_multiset
+from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.oracle import (
     CapExceededError,
     double_factorial_tree_count,
@@ -88,4 +88,5 @@ def test_dp_respects_matching_lower_bound():
             x = [rng.choice([1, -1]) * rng.randint(1, 99) for _ in range(n)]
             if any(v > 0 for v in x) and any(v < 0 for v in x):
                 break
-        assert 2 * optimal_cost_dp(x).optimal_cost >= match_multiset(x).total
+        lower = minimum_critical_matching(*split_by_sign(x)).total
+        assert 2 * optimal_cost_dp(x).optimal_cost >= lower

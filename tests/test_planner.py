@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addtree.matching import split_by_sign
+from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.oracle import optimal_cost_dp
 from addtree.planner import (
     STRATEGIES,
@@ -98,8 +98,6 @@ def test_theorem_single_sign_bound():
 
 def test_step3_cost_decomposition():
     # cost(plan) = Pi + cost(balanced stage) <= Pi + (h-1)(Pi+Delta)
-    from addtree.matching import match_multiset
-
     rng = random.Random(29)
     for _ in range(40):
         n = rng.randint(2, 12)
@@ -107,7 +105,7 @@ def test_step3_cost_decomposition():
             x = [rng.choice([1, -1]) * rng.randint(1, 99) for _ in range(n)]
             if any(v > 0 for v in x) and any(v < 0 for v in x):
                 break
-        m = match_multiset(x)
+        m = minimum_critical_matching(*split_by_sign(x))
         tree = plan_general(x)
         balanced_stage = cost(tree) - m.pi
         pieces = len(m.pairs) + len(m.unmatched)
@@ -152,6 +150,7 @@ def test_plan_dispatch():
         (lambda: plan([2, -1, 0], "critical", presorted=True), "nonzero"),
         (lambda: plan([2, 1], "critical", presorted=True), "breaks ascending"),
         (lambda: plan([1, 2], "critical", alpha=1), "alpha must satisfy"),
+        (lambda: plan([1, 2], "huffman", alpha=Fraction(-1, 2)), "got -1/2"),
         (lambda: plan([1, 2], "critical"), "critical strategy requires mixed-sign"),
         (lambda: plan([1, -2], "huffman"), "huffman strategy requires single-sign"),
         (lambda: plan([1, -2], "grouped", t=0), "grouped strategy requires single"),
@@ -170,6 +169,21 @@ def test_validation_messages_and_their_order(call, message):
     # Inputs that fail several checks pin which check reports first.
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 2)])
+def test_alpha_in_range_is_accepted(alpha):
+    assert plan([1, 2, 4], "huffman", alpha=alpha).error_bound == 10 * Fraction(alpha)
+
+
+@pytest.mark.parametrize("t", [64, 10**10])
+def test_grouped_huge_t_is_one_balanced_group(t):
+    # Any width above n gives one group; 1 << t is never built.
+    x = [5, 1, 4, 2, 3]
+    assert serialize(plan_single_sign(x, t)) == serialize(build_balanced(x))
+    report = plan(x, "grouped", t=t)
+    assert report.guarantee_factor == 1 + t
+    assert serialize(report.tree) == serialize(plan(x, "grouped", t=3).tree)
 
 
 def test_plan_with_oracle_ratio():

@@ -13,6 +13,7 @@ from addtree.tree import (
     cost,
     depth,
     leaf_values,
+    nodes,
     parse_tree,
     serialize,
 )
@@ -30,6 +31,12 @@ def test_cost_examples():
     assert cost(tree_123()) == 9
     assert cost(Internal(Internal(Leaf(5), Leaf(-5)), Leaf(3))) == 3
     assert cost(Leaf(7)) == 0
+
+
+def test_nodes_in_left_to_right_preorder():
+    tree = Internal(tree_123(), Internal(Leaf(4), Leaf(5)))
+    assert [node.value for node in nodes(tree)] == [15, 6, 3, 1, 2, 3, 9, 4, 5]
+    assert leaf_values(tree) == [1, 2, 3, 4, 5]
 
 
 def test_build_balanced_examples():
