@@ -47,7 +47,7 @@ def _read_text(path: str) -> str:
 
 def read_values(path: str) -> List[Value]:
     values = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         token = line.split("#", 1)[0].strip()
         if not token:
             continue

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import Value, as_value
+from .numeric import Value, as_value, format_value
 from .tree import AdditionTree, Internal
 
 
@@ -106,8 +106,6 @@ class SimulationResult:
         return 0 if self.bound == 0 else as_value(Fraction(self.abs_error) / self.bound)
 
     def to_json_dict(self) -> dict:
-        from .numeric import format_value
-
         return {
             "computed": format_value(self.computed),
             "true_sum": format_value(self.true_sum),

@@ -144,13 +144,13 @@ def check_partition_witness(
 
 
 def find_triple_partition(
-    instance: ThreePartitionInstance, cap: int = 4
+    instance: ThreePartitionInstance,
 ) -> Optional[List[Tuple[int, int, int]]]:
     """Exhaustive search for a witness partition; None if the instance is
-    negative. Independent of the addition-tree oracle. Capped at m <= cap."""
+    negative. Independent of the addition-tree oracle. Capped at m <= 4."""
     m = validate_3par(instance)
-    if m > cap:
-        raise ValueError(f"exhaustive partition search capped at m = {cap}, got {m}")
+    if m > 4:
+        raise ValueError(f"exhaustive partition search capped at m = 4, got {m}")
     items = list(instance.b)
 
     def search(remaining: List[int]) -> Optional[List[Tuple[int, int, int]]]:
@@ -175,22 +175,17 @@ def find_triple_partition(
     return search(sorted(items))
 
 
-def random_3par_instance(
-    m: int, rng: random.Random, k: Optional[int] = None
-) -> ThreePartitionInstance:
+def random_3par_instance(m: int, rng: random.Random) -> ThreePartitionInstance:
     """Sample a valid (always positive) 3-PARTITION instance with m triples.
 
-    Each triple is drawn from the open range (K/4, K/2) to sum exactly to
-    K, by rejection.
+    K is drawn from [20, 400); each triple is drawn from the open range
+    (K/4, K/2) to sum exactly to K, by rejection.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if k is None:
-        k = rng.randrange(20, 400)
+    k = rng.randrange(20, 400)
     lo = k // 4 + 1
     hi = (k - 1) // 2  # largest value with 2v < k
-    if hi - lo < 1 or 3 * lo > k or 3 * hi < k:
-        raise ValueError(f"K = {k} admits no valid triples")
     b: List[int] = []
     for _ in range(m):
         while True:
@@ -207,7 +202,7 @@ def parse_3par(text: str) -> ThreePartitionInstance:
     """Parse the instance file format: first line "K m", then 3m integers
     (whitespace separated, '#' comments ignored)."""
     tokens: List[str] = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.split("#", 1)[0]
         tokens.extend(line.split())
     if len(tokens) < 2:

@@ -11,6 +11,7 @@ their negative values.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .numeric import Value, check_ascending
@@ -19,47 +20,32 @@ from .tree import AdditionTree, Internal, Leaf, without_gc
 
 @without_gc
 def build_huffman(values: Sequence[Value]) -> AdditionTree:
-    """Minimum-cost addition tree over strictly positive values.
+    """Minimum-cost addition tree over nonzero values of one sign.
 
-    Ties are broken by insertion order (earliest inserted merges first),
+    Ties are broken by input order (the earliest equal value merges first),
     which fixes the tree shape; the cost is tie-independent.
     """
     if not values:
         raise ValueError("cannot build a Huffman tree over an empty sequence")
-    for v in values:
-        if v <= 0:
-            raise ValueError(
-                f"Huffman construction requires strictly positive values, got {v}"
-            )
-    return two_queue_merge(sorted(values))
+    negative = values[0] < 0
+    # Ascending magnitudes; reverse=True keeps equal values in input order.
+    order = sorted(values, reverse=negative)
+    # The head is the value nearest zero, so it settles the sign of all.
+    if not (order[0] < 0 if negative else order[0] > 0):
+        raise ValueError(
+            f"Huffman construction requires nonzero values of one sign, got {order[0]}"
+        )
+    if negative:
+        return two_queue_merge([-v for v in order], [Leaf(v) for v in order])
+    return two_queue_merge(order)
 
 
 @without_gc
 def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
-    """Linear-time Huffman tree for a nondecreasing positive sequence."""
-    if not values:
-        raise ValueError("cannot build a Huffman tree over an empty sequence")
+    """Huffman tree for a nondecreasing sequence; the order is checked, and
+    the sort in build_huffman then makes one linear pass."""
     check_ascending(values)
-    if values[0] <= 0:  # nondecreasing, so checking the head suffices
-        raise ValueError(
-            f"Huffman construction requires strictly positive values, got {values[0]}"
-        )
-    return two_queue_merge(values)
-
-
-@without_gc
-def build_huffman_single_sign(x: Sequence[Value]) -> AdditionTree:
-    """Minimum-cost addition tree over nonzero values of one sign.
-
-    The caller guarantees that x is nonempty, zero-free and single-sign.
-    """
-    if x[0] > 0:
-        keys, trees = sorted(x), None
-    else:
-        # Ascending magnitudes; reverse=True keeps equal values in input order.
-        order = sorted(x, reverse=True)
-        keys, trees = [-v for v in order], [Leaf(v) for v in order]
-    return two_queue_merge(keys, trees)
+    return build_huffman(values)
 
 
 def two_queue_merge(
@@ -78,46 +64,47 @@ def two_queue_merge(
     tnew = tuple.__new__
     own_keys = trees is None
     if own_keys:
-        trees = [tnew(Leaf, (v,)) for v in keys]
+        trees = list(map(tnew, repeat(Leaf, n), zip(keys)))
     if n == 1:
         return trees[0]
 
     # Queue fronts and keys are carried in locals to keep this O(n) pass
-    # cheap in constant factors.
-    merged_trees: list = []
-    merged_keys: list = []
-    mt_append = merged_trees.append
-    mk_append = merged_keys.append
+    # cheap in constant factors. An infinite key past the last item stands
+    # for an empty queue: the input keys get one appended, and merged key k
+    # is written when tree k is built, so unwritten slots read as infinite.
     inf = float("inf")
-    i = j = mcount = 0
+    keys = [*keys, inf]
+    merged_keys = [inf] * n
+    merged_trees: list = []
+    mt_append = merged_trees.append
+    i = j = 0
     lk = keys[0]
     mk = inf
-    for _ in range(n - 1):
+    for k in range(n - 1):
         if lk <= mk:
             a = trees[i]
             ka = lk
             i += 1
-            lk = keys[i] if i < n else inf
+            lk = keys[i]
         else:
             a = merged_trees[j]
             ka = mk
             j += 1
-            mk = merged_keys[j] if j < mcount else inf
+            mk = merged_keys[j]
         if lk <= mk:
             b = trees[i]
             kb = lk
             i += 1
-            lk = keys[i] if i < n else inf
+            lk = keys[i]
         else:
             b = merged_trees[j]
             kb = mk
             j += 1
-            mk = merged_keys[j] if j < mcount else inf
+            mk = merged_keys[j]
         s = ka + kb
         # With the keys as leaf values, the key sum is the node value.
         mt_append(tnew(Internal, (a, b, s if own_keys else a.value + b.value)))
-        mk_append(s)
+        merged_keys[k] = s
         if mk is inf:
             mk = s
-        mcount += 1
     return merged_trees[-1]

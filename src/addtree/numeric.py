@@ -9,8 +9,6 @@ otherwise; both are exact and interoperate freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from operator import le
 from sys import get_int_max_str_digits
 from typing import Sequence, Union
 
@@ -114,8 +112,14 @@ def format_value(v: Value) -> str:
 
 def check_ascending(x: Sequence[Value]) -> None:
     """Reject x unless it is nondecreasing; the position of the first
-    descent is searched for only when the one-pass check fails."""
-    if not all(map(le, x, islice(x, 1, None))):
+    descent is searched for only when the one-pass check fails.
+
+    x is nondecreasing exactly when a stable sort leaves it equal to
+    itself. On such input the sort makes one pass of n - 1 comparisons,
+    and on a list of ints it compares with a type-specialised routine,
+    cheaper than one generic rich comparison per pair.
+    """
+    if sorted(x) != (x if isinstance(x, list) else list(x)):
         i = next(i for i in range(len(x) - 1) if x[i] > x[i + 1])
         raise ValueError(
             f"input is not sorted: value {x[i + 1]} at position {i + 2} "

@@ -102,17 +102,18 @@ def double_factorial_tree_count(n: int) -> int:
     return count
 
 
-def enumerate_trees(x: Sequence[Value], cap: int = 8) -> Iterator[AdditionTree]:
+def enumerate_trees(x: Sequence[Value]) -> Iterator[AdditionTree]:
     """Yield every distinct addition tree over x exactly once.
 
     Children are unordered, so each unordered shape-with-assignment appears
     once; duplicate input values are treated as distinguishable by index.
+    Capped at 8 elements.
     """
     n = len(x)
     if n == 0:
         raise ValueError("cannot enumerate trees over an empty multiset")
-    if n > cap:
-        raise CapExceededError(f"tree enumeration capped at {cap} elements, got {n}")
+    if n > 8:
+        raise CapExceededError(f"tree enumeration capped at 8 elements, got {n}")
 
     def gen(mask: int) -> Iterator[AdditionTree]:
         if mask & (mask - 1) == 0:

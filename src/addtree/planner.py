@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .huffman import build_huffman_single_sign, two_queue_merge
+from .huffman import build_huffman, two_queue_merge
 from .matching import minimum_critical_matching, split_by_sign
 from .numeric import Value, as_value, check_ascending, format_value
 from .oracle import optimal_cost_dp
@@ -66,7 +66,7 @@ class PlanReport:
 
 
 def _ceil_log2(k: int) -> int:
-    return (k - 1).bit_length() if k >= 1 else 0
+    return (k - 1).bit_length()
 
 
 def _reject_empty_or_zero(x: Sequence[Value]) -> None:
@@ -180,7 +180,7 @@ def plan(
     elif strategy == "huffman":
         if not _one_sign(x):
             raise ValueError("huffman strategy requires single-sign input")
-        tree = build_huffman_single_sign(x)
+        tree = build_huffman(x)
         guarantee = 1
     elif strategy == "critical":
         tree = plan_general(x)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from addtree import planner
 from addtree.cli import main, read_values
 from addtree.numeric import as_value, format_value
+from addtree.tree import cost, serialize
 
 
 def write(tmp_path, name, text):
@@ -95,6 +96,16 @@ def test_read_values_comments_blank_lines_and_crlf(tmp_path):
     assert [type(v) for v in values] == [int, int, Fraction, int]
 
 
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_read_values_breaks_lines_only_at_newlines(tmp_path, sep):
+    # str.splitlines() would also break at sep: 1, 2, 3 and an error on line 4.
+    path = write(tmp_path, "sep.txt", f"1\n2{sep}3\nabc\n")
+    with pytest.raises(ValueError, match="sep.txt:2: malformed value literal"):
+        read_values(path)
+
+
 # Comment text may hold anything but a line break, '#' included.
 comments = st.text(alphabet="# abc-(1).\t", max_size=8).map(lambda c: "#" + c)
 pads = st.sampled_from(["", " ", "\t", "  "])
@@ -172,6 +183,15 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["optimal_cost"] == "112605"
     assert payload["witness"].startswith("(")
+
+
+def test_oracle_sexpr_output(tmp_path, capsys):
+    path = write(tmp_path, "three.txt", "5\n-5\n3\n")
+    code, out, _ = run(capsys, "oracle", "--output", "sexpr", path)
+    assert code == 0
+    tree = planner.plan([5, -5, 3], "optimal").tree
+    assert out == serialize(tree) + "\n"
+    assert cost(tree) == 3
 
 
 def test_oracle_cap_exit_3(tmp_path, capsys):

@@ -5,24 +5,26 @@ import gc
 
 import pytest
 
-from addtree.huffman import build_huffman, build_huffman_single_sign, build_huffman_sorted
+from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.numeric import ParseError
 from addtree.planner import plan_general, plan_single_sign
 from addtree.tree import build_balanced, parse_tree, serialize
 
 N = 10**5
 POS = list(range(1, N + 1))
+NEG = [-v for v in POS]
+MIXED = [v if v % 2 else -v for v in POS]
 
-# (builder, args of a build at n = N, args that make it raise, the error)
-CASES = [
-    (build_balanced, lambda: (POS,), ([],), ValueError),
-    (parse_tree, lambda: (serialize(build_balanced(POS)),), ("(1 2",), ParseError),
-    (build_huffman, lambda: (POS[::-1],), ([1, 0],), ValueError),
-    (build_huffman_sorted, lambda: (POS,), ([2, 1],), ValueError),
-    (build_huffman_single_sign, lambda: ([-v for v in POS],), (["a", 1],), TypeError),
-    (plan_general, lambda: ([v if v % 2 else -v for v in POS],), ([1, 2],), ValueError),
-    (plan_single_sign, lambda: (POS, 1), ([1, -1], 1), ValueError),
-]
+# id: (builder, args of a build at n = N, args that make it raise, the error)
+CASES = {
+    "build_balanced": (build_balanced, lambda: (POS,), ([],), ValueError),
+    "parse_tree": (parse_tree, lambda: (serialize(build_balanced(POS)),), ("(1 2",), ParseError),
+    "build_huffman": (build_huffman, lambda: (POS[::-1],), ([1, 0],), ValueError),
+    "build_huffman_negative": (build_huffman, lambda: (NEG,), ([-1, 1],), ValueError),
+    "build_huffman_sorted": (build_huffman_sorted, lambda: (POS,), ([2, 1],), ValueError),
+    "plan_general": (plan_general, lambda: (MIXED,), ([1, 2],), ValueError),
+    "plan_single_sign": (plan_single_sign, lambda: (POS, 1), ([1, -1], 1), ValueError),
+}
 
 
 def collections_during(fn, *args) -> int:
@@ -42,7 +44,7 @@ def collections_during(fn, *args) -> int:
 
 
 @pytest.mark.parametrize(
-    "build, make_args, bad_args, error", CASES, ids=[c[0].__name__ for c in CASES]
+    "build, make_args, bad_args, error", CASES.values(), ids=CASES.keys()
 )
 def test_builders_pause_gc(build, make_args, bad_args, error):
     args = make_args()

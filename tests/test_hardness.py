@@ -31,6 +31,10 @@ def test_validate():
         validate_3par(ThreePartitionInstance(b=(4, 5), k=15))
     with pytest.raises(ValueError, match="differs"):
         validate_3par(ThreePartitionInstance(b=(4, 5, 5), k=15))
+    with pytest.raises(ValueError, match="K must be positive, got 0"):
+        validate_3par(ThreePartitionInstance(b=(4, 5, 6), k=0))
+    with pytest.raises(ValueError, match="element 8 violates b < K/2"):
+        validate_3par(ThreePartitionInstance(b=(4, 4, 8), k=15))
 
 
 def test_amplify():
@@ -65,6 +69,8 @@ def test_partition_witness():
     assert check_partition_witness(NEG, [(7, 7, 7), (9, 9, 9)]) is False
     with pytest.raises(ValueError):
         check_partition_witness(POS, [(4, 5, 7)])
+    with pytest.raises(ValueError, match="parts must be triples"):
+        check_partition_witness(NEG, [(7, 7), (7, 9, 9, 9)])
 
 
 def test_find_triple_partition():
@@ -74,6 +80,9 @@ def test_find_triple_partition():
     good2 = ThreePartitionInstance(b=(7, 8, 9, 7, 8, 9), k=24)
     witness2 = find_triple_partition(good2)
     assert witness2 is not None and check_partition_witness(good2, witness2)
+    five = ThreePartitionInstance(b=(7, 8, 9) * 5, k=24)
+    with pytest.raises(ValueError, match="capped at m = 4, got 5"):
+        find_triple_partition(five)
 
 
 def test_perturbation_bounds_hold():
@@ -101,6 +110,8 @@ def test_random_instances_are_valid_and_positive():
         assert validate_3par(inst) == m
         witness = find_triple_partition(inst)
         assert witness is not None
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        random_3par_instance(0, rng)
 
 
 def test_file_roundtrip():
@@ -112,6 +123,16 @@ def test_file_roundtrip():
         parse_3par("15 1\n4 5\n")
     with pytest.raises(ValueError):
         parse_3par("")
+    with pytest.raises(ValueError, match="malformed 3-PARTITION file"):
+        parse_3par("15 1\n4 5 six\n")
+
+
+@pytest.mark.parametrize(
+    "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_parse_3par_breaks_lines_only_at_newlines(sep):
+    # str.splitlines() would end the comment at sep and read 9 as an element.
+    assert parse_3par(f"15 1  # note{sep}9\n4 5 6\n") == POS
 
 
 def test_sidecar_fields():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.oracle import optimal_cost_dp
-from addtree.tree import Leaf, cost
+from addtree.tree import Leaf, cost, serialize
 
 positive_lists = st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=9)
 
@@ -26,12 +26,17 @@ def test_sorted_examples():
 
 @pytest.mark.parametrize("builder", [build_huffman, build_huffman_sorted])
 def test_rejects_empty_and_nonpositive(builder):
-    with pytest.raises(ValueError):
-        builder([])
-    with pytest.raises(ValueError):
-        builder([1, -2])
-    with pytest.raises(ValueError):
-        builder([0, 1])
+    for values in ([], [1, -2], [0, 1], [1, 0, -5]):
+        with pytest.raises(ValueError):
+            builder(values)
+
+
+def test_rejects_zero_or_mixed_signs_by_the_head_value():
+    # The sorted head is the value nearest zero on the side of values[0].
+    for values, head in (([3, 0, 1], 0), ([3, -2, 1], -2), ([-1, 5, -3], 5)):
+        with pytest.raises(ValueError, match=f"of one sign, got {head}$"):
+            build_huffman(values)
+    assert serialize(build_huffman([-3, -1, -2])) == "(-3 (-1 -2))"
 
 
 def test_sorted_rejects_unsorted():

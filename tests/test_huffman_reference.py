@@ -61,23 +61,28 @@ def signed(mags, negative, presorted=False):
     return sorted(x) if presorted else x
 
 
+def heap_signed(x):
+    """Heap Huffman over single-sign x; negative x is planned on its mirror.
+    Equal values are interchangeable, so the tree does not depend on the
+    order of x."""
+    return mirror(heap_huffman([-v for v in x])) if x[0] < 0 else heap_huffman(x)
+
+
 @settings(max_examples=200)
-@given(magnitudes)
-def test_builders_match_heap(values):
-    assert serialize(build_huffman(values)) == serialize(heap_huffman(values))
-    ordered = sorted(values)
-    assert serialize(build_huffman_sorted(ordered)) == serialize(heap_huffman(ordered))
+@given(magnitudes, st.booleans())
+def test_builders_match_heap(mags, negative):
+    x = signed(mags, negative)
+    expected = serialize(heap_signed(x))
+    assert serialize(build_huffman(x)) == expected
+    assert serialize(build_huffman_sorted(sorted(x))) == expected
+    assert serialize(plan(x, "huffman").tree) == expected
 
 
 @settings(max_examples=200)
 @given(magnitudes, st.booleans(), st.booleans())
 def test_plan_huffman_matches_heap(mags, negative, presorted):
     x = signed(mags, negative, presorted)
-    if negative:
-        keys = [-v for v in (reversed(x) if presorted else x)]
-        expected = mirror(heap_huffman(keys))
-    else:
-        expected = heap_huffman(x)
+    expected = heap_signed(x)
     report = plan(x, "huffman", presorted=presorted)
     assert serialize(report.tree) == serialize(expected)
     assert report.cost == cost(expected)

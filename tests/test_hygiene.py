@@ -1,8 +1,11 @@
 """Static checks on the package source: no module imports a name it never
-uses, and every name in addtree.__all__ resolves, each listed once.
+uses or imports inside a function, every module-level function or class is
+named somewhere else, and every name in addtree.__all__ resolves, each
+listed once.
 
 A refactor that deletes the last use of an import (a removed class, a call
-routed through another module) leaves the import behind; this catches it
+routed through another module) leaves the import behind, and one that
+deletes the last caller leaves the callee behind; this catches both
 without a linter.
 """
 
@@ -14,6 +17,11 @@ import pytest
 import addtree
 
 MODULES = sorted(Path(addtree.__file__).parent.glob("*.py"))
+ROOT = Path(addtree.__file__).parents[2]
+# Every Python file that may use the package: sources, tests, demos, bench.
+USERS = sorted(
+    path for top in ("src", "tests", "demos", "bench") for path in (ROOT / top).rglob("*.py")
+)
 
 
 def imported_names(module: ast.Module):
@@ -55,3 +63,44 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names)), "a name appears twice in __all__"
     missing = [name for name in names if not hasattr(addtree, name)]
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_function_local_imports(path):
+    module = ast.parse(path.read_text(), filename=str(path))
+    local = [
+        f"{fn.name} (line {node.lineno})"
+        for fn in ast.walk(module)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local, f"{path.name} imports inside functions: {local}"
+
+
+def names_in(node: ast.AST) -> set:
+    """Every identifier that node reads, as a name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+    return names
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    # Each top-level statement of each file is one unit; a definition
+    # counts as used only if some other unit names it.
+    bodies = {path: ast.parse(path.read_text(), filename=str(path)).body for path in USERS}
+    named = [(stmt, names_in(stmt)) for body in bodies.values() for stmt in body]
+    unused = [
+        f"{path.name}:{stmt.name}"
+        for path in MODULES
+        for stmt in bodies[path]
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for unit, names in named if unit is not stmt)
+    ]
+    assert not unused, f"module-level definitions no file names: {unused}"

@@ -70,6 +70,8 @@ def test_brute_force_examples():
 def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_matching(list(range(1, 8)) + [-v for v in range(1, 8)])
+    with pytest.raises(ValueError, match="nonzero"):
+        brute_force_matching([1, 0, -1])
 
 
 @given(

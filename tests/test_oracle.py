@@ -22,6 +22,8 @@ def test_dp_examples():
     assert result.optimal_cost == 3
     assert cost(result.witness) == 3
     assert optimal_cost_dp([7]).optimal_cost == 0
+    with pytest.raises(ValueError, match="empty multiset"):
+        optimal_cost_dp([])
 
 
 def test_witness_invariants():
@@ -55,6 +57,8 @@ def test_tree_counts():
     assert double_factorial_tree_count(2) == 1
     assert double_factorial_tree_count(3) == 3
     assert double_factorial_tree_count(4) == 15
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        double_factorial_tree_count(0)
     for n in range(2, 7):
         x = list(range(1, n + 1))
         assert sum(1 for _ in enumerate_trees(x)) == double_factorial_tree_count(n)
@@ -63,6 +67,8 @@ def test_tree_counts():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         next(enumerate_trees(list(range(1, 10))))
+    with pytest.raises(ValueError, match="empty multiset"):
+        next(enumerate_trees([]))
 
 
 def test_dp_agrees_with_enumeration():
