@@ -1,10 +1,13 @@
-"""Command-line surface: plan, oracle, reduce, simulate.
+r"""Command-line surface: plan, oracle, reduce, simulate.
 
-Input files carry one value per line; '#' starts a comment and blank lines
-are ignored. Reports are JSON on stdout with deterministic field order.
-Exit codes: 0 success, 1 usage error, 2 invalid input (also input too large
+Input files are UTF-8 (a leading byte-order mark is dropped) and carry one
+value per line; '#' starts a comment and blank lines are ignored. Lines end
+at \n, \r\n or \r. Reports are JSON on stdout with deterministic field
+order. Exit codes: 0 success, 1 usage error, 2 invalid input (an unreadable
+or undecodable file, an output file `reduce` cannot write, input too large
 to process: MemoryError or RecursionError, or a result too long to print
-under sys.get_int_max_str_digits()), 3 oracle size cap.
+under sys.get_int_max_str_digits()), 3 oracle size cap. A failure prints
+one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -39,10 +42,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    r"""The file as UTF-8 text, a leading byte-order mark dropped and every
+    line end (\r\n, \r or \n) turned into \n."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark.
+        head = exc.object[: exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        byte = exc.object[exc.start]
+        raise ValueError(
+            f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x})"
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_values(path: str) -> List[Value]:
@@ -104,10 +122,13 @@ def cmd_reduce(args) -> int:
     prefix = args.out_prefix or str(Path(args.input).with_suffix("")) + "_reduced"
     x_path = Path(prefix + ".txt")
     sidecar_path = Path(prefix + ".json")
-    x_path.write_text("".join(f"{v}\n" for v in reduction.x))
-    sidecar_path.write_text(
-        json.dumps(hardness.reduction_sidecar(reduction), indent=2) + "\n"
-    )
+    x_text = "".join(f"{v}\n" for v in reduction.x)
+    sidecar = json.dumps(hardness.reduction_sidecar(reduction), indent=2) + "\n"
+    for path, text in ((x_path, x_text), (sidecar_path, sidecar)):
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from None
     _print_json(
         {
             "x_file": str(x_path),
@@ -127,7 +148,7 @@ def cmd_simulate(args) -> int:
     payload = result.to_json_dict()
     payload["strategy"] = args.strategy
     payload["precision"] = args.precision
-    payload["cost"] = format_value(report.cost)
+    payload["cost"] = format_value(result.bound / prec.alpha)
     _print_json(payload)
     return 0
 

@@ -17,6 +17,7 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -43,11 +44,22 @@ STRATEGIES = ("balanced", "huffman", "critical", "grouped", "optimal")
 class PlanReport:
     strategy: str
     tree: AdditionTree
-    cost: Value
-    error_bound: Value
+    alpha: Value
     guarantee_factor: Optional[Value] = None
     optimal_cost: Optional[Value] = None
-    observed_ratio: Optional[Value] = None
+
+    @cached_property
+    def cost(self) -> Value:
+        return cost(self.tree)
+
+    @property
+    def error_bound(self) -> Value:
+        return self.alpha * self.cost
+
+    @property
+    def observed_ratio(self) -> Optional[Value]:
+        o = self.optimal_cost
+        return as_value(Fraction(self.cost) / Fraction(o)) if o else None
 
     def to_json_dict(self, n: int) -> dict:
         def fmt(v):
@@ -196,18 +208,6 @@ def plan(
         optimal = result.optimal_cost
         guarantee = 1
 
-    c = cost(tree)
-    ratio = None
     if with_oracle and optimal is None:
         optimal = optimal_cost_dp(x, cap=oracle_cap).optimal_cost
-    if optimal is not None and optimal > 0:
-        ratio = as_value(Fraction(c) / Fraction(optimal))
-    return PlanReport(
-        strategy=strategy,
-        tree=tree,
-        cost=c,
-        error_bound=alpha * c,
-        guarantee_factor=guarantee,
-        optimal_cost=optimal,
-        observed_ratio=ratio,
-    )
+    return PlanReport(strategy, tree, alpha, guarantee, optimal)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -104,6 +108,23 @@ def test_read_values_breaks_lines_only_at_newlines(tmp_path, sep):
     path = write(tmp_path, "sep.txt", f"1\n2{sep}3\nabc\n")
     with pytest.raises(ValueError, match="sep.txt:2: malformed value literal"):
         read_values(path)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"1\n\xff\n", 2),
+        (b"1\r\n2\r3\n\xff4\n", 4),
+        (b"\xef\xbb\xbf1\n2\n\xff", 3),
+        (b"\xff\r\n", 1),
+    ],
+)
+def test_undecodable_input_names_the_line(tmp_path, capsys, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "plan", str(path))
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {path}:{line}: not valid UTF-8 (byte 0xff)\n"
 
 
 # Comment text may hold anything but a line break, '#' included.
@@ -301,3 +322,93 @@ def test_sorted_flag_is_checked_for_every_strategy(tmp_path, capsys, strategy, v
     for command in (["plan"], ["simulate", "--precision", "8"]):
         code, _, err = run(capsys, *command, "--strategy", strategy, "--sorted", bad)
         assert code == 2 and "breaks ascending order" in err
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["plan", "--strategy", "balanced"], 1),
+        (["plan", "--strategy", "balanced", "--with-oracle"], 1),
+        (["plan", "--strategy", "balanced", "--output", "sexpr"], 0),
+        (["oracle"], 0),
+        (["oracle", "--output", "sexpr"], 0),
+        (["simulate", "--precision", "24"], 0),
+    ],
+)
+def test_cost_walks_per_command(data_file, capsys, monkeypatch, argv, walks):
+    # C(T) is computed from a finished tree only where it is printed, and
+    # then once; simulate prints the cost its own pass summed.
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return cost(t)
+
+    monkeypatch.setattr(planner, "cost", counted)
+    code, out, _ = run(capsys, argv[0], data_file, *argv[1:])
+    assert code == 0 and len(walked) == walks
+    if argv[0] != "oracle" and "sexpr" not in argv:
+        assert json.loads(out)["cost"] == "20"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+VALUES = b"1\n-2\n"
+INSTANCE = b"15 1\n4 5 6\n"
+
+
+def run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "addtree.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for command in ("plan", "oracle", "simulate", "reduce")
+        for case in ("missing", "directory", "undecodable", "bom", "unwritable")
+        if case != "unwritable" or command == "reduce"
+    ],
+)
+def test_no_traceback_on_bad_files(tmp_path, command, case):
+    valid = INSTANCE if command == "reduce" else VALUES
+    path = tmp_path / "input.txt"
+    prefix = tmp_path / "out"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(valid + b"\xff\n")
+    elif case == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + valid.replace(b"\n", b"\r\n"))
+    elif case == "unwritable":
+        path.write_bytes(valid)
+        prefix = tmp_path / "no" / "such" / "out"
+    extra = {
+        "simulate": ["--precision", "24"],
+        "reduce": ["--out-prefix", str(prefix)],
+    }.get(command, [])
+    result = run_cli(command, str(path), *extra)
+    assert "Traceback" not in result.stderr
+    if case == "bom":
+        assert result.returncode == 0 and result.stderr == ""
+        key, value = {
+            "plan": ("tree", "(1 -2)"),
+            "oracle": ("witness", "(1 -2)"),
+            "simulate": ("true_sum", "-1"),
+            "reduce": ("target_cost", "112605"),
+        }[command]
+        assert json.loads(result.stdout)[key] == value
+        return
+    assert result.returncode == 2 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid input: ")
+    expected = {
+        "missing": f"cannot read {path}",
+        "directory": f"cannot read {path}",
+        "undecodable": f"{path}:3: not valid UTF-8 (byte 0xff)",
+        "unwritable": f"cannot write {prefix}.txt",
+    }[case]
+    assert expected in lines[0]
