@@ -5,9 +5,10 @@ value per line; '#' starts a comment and blank lines are ignored. Lines end
 at \n, \r\n or \r. Reports are JSON on stdout with deterministic field
 order. Exit codes: 0 success, 1 usage error, 2 invalid input (an unreadable
 or undecodable file, an output file `reduce` cannot write, input too large
-to process: MemoryError or RecursionError, or a result too long to print
-under sys.get_int_max_str_digits()), 3 oracle size cap. A failure prints
-one line on stderr and no traceback.
+to process: MemoryError or RecursionError, a number too large for an int
+operation: OverflowError, such as an absurd `simulate --precision`, or a
+result too long to print under sys.get_int_max_str_digits()), 3 oracle size
+cap. A failure prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"oracle cap: {exc}", file=sys.stderr)
         return EXIT_ORACLE_CAP
-    except (ValueError, MemoryError, RecursionError) as exc:
+    except (ValueError, OverflowError, MemoryError, RecursionError) as exc:
         # MemoryError() carries no message; name the error instead.
         print(f"invalid input: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -35,7 +35,7 @@ class Precision:
 
     @property
     def alpha(self) -> Fraction:
-        return Fraction(1, 2**self.significand_bits)
+        return Fraction(1, 1 << self.significand_bits)
 
 
 def _round(m: int, e: int, p: int) -> tuple:
@@ -96,6 +96,8 @@ def fl_add(x: Value, y: Value, prec: Precision) -> Value:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A simulated tree's rounded sum, exact sum, their gap, and the bound alpha * C(T)."""
+
     computed: Value
     true_sum: Value
     abs_error: Value

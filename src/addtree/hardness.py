@@ -24,6 +24,8 @@ from .numeric import Value
 
 @dataclass(frozen=True)
 class ThreePartitionInstance:
+    """A 3-PARTITION instance: the multiset B of 3m integers and the target K."""
+
     b: Tuple[int, ...]
     k: int
 
@@ -63,6 +65,8 @@ def amplify(instance: ThreePartitionInstance) -> Tuple[List[int], int]:
 
 @dataclass(frozen=True)
 class ReductionInstance:
+    """The multiset X built from a 3-PARTITION instance, its parameters and cost threshold."""
+
     x: Tuple[Value, ...]
     w: int
     l: int
@@ -121,6 +125,7 @@ class PerturbationBounds:
 
 
 def perturbation_bounds(reduction: ReductionInstance) -> PerturbationBounds:
+    """The perturbation quantities beta0, beta_i of a reduction, for checking its inequalities."""
     big = reduction.h_big
     return PerturbationBounds(
         beta0=Fraction(reduction.h, big),

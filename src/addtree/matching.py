@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations
-from operator import ge
 from typing import Sequence
 
-from .numeric import Value, check_ascending
+from .numeric import Value
 from .oracle import CapExceededError
+from .tree import without_gc
 
 
 @dataclass(frozen=True)
@@ -40,32 +40,32 @@ class CriticalMatching:
         return self.pi + self.delta
 
 
+@without_gc
 def minimum_critical_matching(
     positives: Sequence[Value], negatives: Sequence[Value]
 ) -> CriticalMatching:
-    """Rank-aligned matching of sorted sides, minimizing Pi + Delta.
+    """Rank-aligned matching of the two sides, minimizing Pi + Delta.
 
-    positives must be sorted nondecreasing (a1 <= ... <= al, all > 0) and
-    negatives nonincreasing (-b1 >= ... >= -bm, all < 0). When the sides
-    differ in length, the largest-magnitude elements of the longer side are
-    paired and the smallest-magnitude ones are left unmatched.
+    positives (all > 0) and negatives (all < 0) may come in any order and
+    are sorted here; a side already in order costs one linear pass. When the
+    sides differ in length, the largest-magnitude elements of the longer
+    side are paired and the smallest-magnitude ones are left unmatched.
     """
     if not positives or not negatives:
         raise ValueError(
             "matching requires at least one positive and one negative value; "
             "single-sign input belongs to the Huffman path"
         )
-    check_ascending(positives)
-    if not all(map(ge, negatives, islice(negatives, 1, None))):
-        raise ValueError("negatives are not sorted nonincreasing")
-    # Each side is ordered, so its head is the value nearest zero.
+    positives = sorted(positives)
+    negatives = sorted(negatives, reverse=True)
+    # Each side is now ordered, so its head is the value nearest zero.
     if positives[0] <= 0:
         raise ValueError(f"expected strictly positive value, got {positives[0]}")
     if negatives[0] >= 0:
         raise ValueError(f"expected strictly negative value, got {negatives[0]}")
 
-    # negatives nonincreasing means |negatives| is nondecreasing: the last
-    # k values of each side pair up, and the longer side's head is left over.
+    # Both sides now ascend in magnitude: the last k values of each side
+    # pair up, and the longer side's head is left over.
     k = min(len(positives), len(negatives))
     skip_pos, skip_neg = len(positives) - k, len(negatives) - k
     pairs = zip(islice(positives, skip_pos, None), islice(negatives, skip_neg, None))
@@ -74,15 +74,13 @@ def minimum_critical_matching(
 
 
 def split_by_sign(x: Sequence[Value]) -> tuple:
-    """Sort and partition a mixed multiset into the two sides expected by
-    minimum_critical_matching. Rejects zeros: a value in neither side is
-    one, so no separate scan looks for them."""
+    """Partition a mixed multiset, in input order, into the two sides that
+    minimum_critical_matching takes. Rejects zeros: a value in neither side
+    is one, so no separate scan looks for them."""
     positives = [v for v in x if v > 0]
     negatives = [v for v in x if v < 0]
     if len(positives) + len(negatives) != len(x):
         raise ValueError("input values must be nonzero")
-    positives.sort()
-    negatives.sort(reverse=True)
     return positives, negatives
 
 

@@ -4,7 +4,11 @@ Computing the optimal cost is NP-hard for mixed-sign input, so the exact
 solver is an exponential subset dynamic program: for each subset S of the
 (indexed) input, f(S) = |sum(S)| + min over proper splits {A, S \\ A} of
 f(A) + f(S \\ A), with singletons costing 0. It is the ground truth that
-every approximation bound in this package is tested against.
+every approximation bound in this package is tested against. Only f is
+stored: the witness tree is rebuilt from the top by finding, for each of
+its n - 1 internal nodes, a split whose parts' f values sum to
+f(S) - |sum(S)|; of those, the one whose part A (the part holding S's
+lowest index) has the smallest bitmask is taken.
 
 A second, independent oracle enumerates every distinct addition tree
 ((2n-3)!! of them) for cross-checking the DP on tiny inputs.
@@ -27,6 +31,8 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class OptimalResult:
+    """The exact minimum cost of an addition tree over x, and one tree attaining it."""
+
     optimal_cost: Value
     witness: AdditionTree
 
@@ -60,7 +66,6 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
         sums[mask] = sums[mask ^ lsb] + vals[lsb.bit_length() - 1]
 
     f = [0] * size
-    choice = [0] * size
     for mask in range(1, size):
         if mask & (mask - 1) == 0:
             continue
@@ -68,23 +73,24 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
         rest = mask ^ lsb
         # Canonical splits: the part containing the lowest set bit.
         best = f[lsb] + f[rest]
-        best_a = lsb
         sub = (rest - 1) & rest
         while sub:
-            a = sub | lsb
-            v = f[a] + f[mask ^ a]
-            if v < best or (v == best and a < best_a):
+            v = f[sub | lsb] + f[rest ^ sub]
+            if v < best:
                 best = v
-                best_a = a
             sub = (sub - 1) & rest
         f[mask] = abs(sums[mask]) + best
-        choice[mask] = best_a
 
     def rebuild(mask: int) -> AdditionTree:
         if mask & (mask - 1) == 0:
             return Leaf(x[mask.bit_length() - 1])
-        a = choice[mask]
-        return Internal(rebuild(a), rebuild(mask ^ a))
+        lsb = mask & -mask
+        rest = mask ^ lsb
+        target = f[mask] - abs(sums[mask])
+        sub = 0  # submasks of rest in increasing order: the smallest optimal A
+        while f[sub | lsb] + f[rest ^ sub] != target:
+            sub = (sub - rest) & rest
+        return Internal(rebuild(sub | lsb), rebuild(rest ^ sub))
 
     full = size - 1
     return OptimalResult(

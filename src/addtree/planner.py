@@ -42,6 +42,8 @@ STRATEGIES = ("balanced", "huffman", "critical", "grouped", "optimal")
 
 @dataclass
 class PlanReport:
+    """A planned tree with its guarantee; cost and error bound derive from the tree."""
+
     strategy: str
     tree: AdditionTree
     alpha: Value

@@ -412,3 +412,24 @@ def test_no_traceback_on_bad_files(tmp_path, command, case):
         "unwritable": f"cannot write {prefix}.txt",
     }[case]
     assert expected in lines[0]
+
+
+HUGE = str(2**70)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["simulate", "--precision", p] for p in ("0", "1", HUGE)),
+        *(["plan", "--strategy", "grouped", "--t", t] for t in ("0", "-1", HUGE)),
+        *(["oracle", "--cap", cap] for cap in ("-1", HUGE)),
+        *(["plan", "--alpha", alpha] for alpha in ("1/0", "1", "-1/2", "1e-5000")),
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_no_traceback_on_numeric_options(tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"1\n0.5\n3\n")
+    result = run_cli(argv[0], str(path), *argv[1:])
+    assert result.returncode in (0, 1, 2, 3)
+    assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr

@@ -6,6 +6,7 @@ import gc
 import pytest
 
 from addtree.huffman import build_huffman, build_huffman_sorted
+from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.numeric import ParseError
 from addtree.planner import plan_general, plan_single_sign
 from addtree.tree import build_balanced, parse_tree, serialize
@@ -23,6 +24,9 @@ CASES = {
     "build_huffman_negative": (build_huffman, lambda: (NEG,), ([-1, 1],), ValueError),
     "build_huffman_sorted": (build_huffman_sorted, lambda: (POS,), ([2, 1],), ValueError),
     "plan_general": (plan_general, lambda: (MIXED,), ([1, 2],), ValueError),
+    "minimum_critical_matching": (
+        minimum_critical_matching, lambda: split_by_sign(MIXED), ([1, 2], []), ValueError
+    ),
     "plan_single_sign": (plan_single_sign, lambda: (POS, 1), ([1, -1], 1), ValueError),
 }
 

@@ -1,7 +1,7 @@
 """Static checks on the package source: no module imports a name it never
 uses or imports inside a function, every module-level function or class is
 named somewhere else, and every name in addtree.__all__ resolves, each
-listed once.
+listed once, and has a docstring of its own if it is a function or class.
 
 A refactor that deletes the last use of an import (a removed class, a call
 routed through another module) leaves the import behind, and one that
@@ -10,6 +10,7 @@ without a linter.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,19 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in imported_names(module) if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_public_names_have_docstrings():
+    # A dataclass without a docstring gets "Name(field: type, ...)" as its
+    # __doc__, which documents nothing the signature does not.
+    undocumented = [
+        name
+        for name in addtree.__all__
+        for obj in [getattr(addtree, name)]
+        if inspect.isfunction(obj) or inspect.isclass(obj)
+        if not (obj.__doc__ or "").strip() or obj.__doc__.startswith(f"{name}(")
+    ]
+    assert not undocumented, f"public names without a docstring: {undocumented}"
 
 
 def test_all_names_resolve_once():

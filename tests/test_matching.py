@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -42,8 +43,6 @@ def test_rejects_empty_side():
 
 def test_rejects_unsorted_or_missigned():
     for positives, negatives in [
-        ([3, 1], [-2]),
-        ([1], [-5, -2]),
         ([1, -1], [-2]),
         ([0, 1], [-1]),
         ([1], [0, -1]),
@@ -51,6 +50,12 @@ def test_rejects_unsorted_or_missigned():
     ]:
         with pytest.raises(ValueError):
             minimum_critical_matching(positives, negatives)
+    # Unsorted sides are sorted, not rejected.
+    for positives, negatives, sides in [
+        ([3, 1], [-2], ([1, 3], [-2])),
+        ([1], [-5, -2], ([1], [-2, -5])),
+    ]:
+        assert minimum_critical_matching(positives, negatives) == minimum_critical_matching(*sides)
     m = minimum_critical_matching([1, 1], [-2, -2])
     assert m.pairs == ((1, -2), (1, -2)) and m.total == 2
 
@@ -81,6 +86,28 @@ def test_algorithm_matches_brute_force(x):
     if not any(v > 0 for v in x) or not any(v < 0 for v in x):
         return
     assert minimum_critical_matching(*split_by_sign(x)).total == brute_force_matching(x)
+
+
+# Few distinct magnitudes, as ints or as Fractions, so both sides hold ties.
+magnitudes = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12),
+    st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@given(magnitudes, magnitudes, st.data())
+def test_any_order_matches_sorted_sides(pos, neg, data):
+    positives = sorted(pos)
+    negatives = sorted((-v for v in neg), reverse=True)
+    expected = minimum_critical_matching(positives, negatives)
+    m = minimum_critical_matching(
+        data.draw(st.permutations(positives)), data.draw(st.permutations(negatives))
+    )
+    assert m.pairs == expected.pairs and m.unmatched == expected.unmatched
 
 
 @given(
