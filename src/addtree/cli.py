@@ -6,9 +6,10 @@ at \n, \r\n or \r. Reports are JSON on stdout with deterministic field
 order. Exit codes: 0 success, 1 usage error, 2 invalid input (an unreadable
 or undecodable file, an output file `reduce` cannot write, input too large
 to process: MemoryError or RecursionError, a number too large for an int
-operation: OverflowError, such as an absurd `simulate --precision`, or a
-result too long to print under sys.get_int_max_str_digits()), 3 oracle size
-cap. A failure prints one line on stderr and no traceback.
+operation: OverflowError, such as a `simulate --precision` too large to
+shift by, whose message names the option, or a result too long to print
+under sys.get_int_max_str_digits()), 3 oracle size cap. A failure prints
+one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -145,7 +146,12 @@ def cmd_simulate(args) -> int:
     values = read_values(args.input)
     prec = fpsim.Precision(args.precision)
     report = planner.plan(values, args.strategy, t=args.t, presorted=args.sorted)
-    result = fpsim.simulate(report.tree, prec)
+    try:
+        result = fpsim.simulate(report.tree, prec)
+    except OverflowError as exc:
+        # With input literals capped by sys.get_int_max_str_digits(), only
+        # a shift by the precision can overflow.
+        raise ValueError(f"--precision {args.precision} is too large: {exc}") from None
     payload = result.to_json_dict()
     payload["strategy"] = args.strategy
     payload["precision"] = args.precision

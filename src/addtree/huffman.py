@@ -5,16 +5,17 @@ minimum-cost addition tree when every input shares one sign. One builder
 does the merging: the two-queue method (van Leeuwen, "On the construction
 of Huffman trees", ICALP 1976), O(n) over keys that are already sorted.
 Unsorted input is sorted first, stably, so equal values merge in input
-order. All-negative input is merged on magnitudes while its leaves keep
-their negative values.
+order; numeric.exact_sorted does that sort, on exact integer keys when the
+input holds rationals with a small common denominator. All-negative input
+is merged on magnitudes while its leaves keep their negative values.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .numeric import Value, check_ascending
+from .numeric import Value, check_ascending, exact_sorted
 from .tree import AdditionTree, Internal, Leaf, without_gc
 
 
@@ -29,7 +30,7 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
         raise ValueError("cannot build a Huffman tree over an empty sequence")
     negative = values[0] < 0
     # Ascending magnitudes; reverse=True keeps equal values in input order.
-    order = sorted(values, reverse=negative)
+    order = exact_sorted(values, reverse=negative)
     # The head is the value nearest zero, so it settles the sign of all.
     if not (order[0] < 0 if negative else order[0] > 0):
         raise ValueError(
@@ -49,7 +50,7 @@ def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
 
 
 def two_queue_merge(
-    keys: Sequence[Value], trees: Optional[Sequence[AdditionTree]] = None
+    keys: List[Value], trees: Optional[Sequence[AdditionTree]] = None
 ) -> AdditionTree:
     """Huffman merge over nondecreasing positive keys, in O(n).
 
@@ -59,6 +60,10 @@ def two_queue_merge(
     another; both stay nondecreasing, so the two smallest items are always
     at the queue fronts. On ties the input queue wins, and the first item
     popped becomes the left child.
+
+    keys is a list that the caller built for this call and gives up: the
+    merge appends its end-of-queue sentinel to it in place, where a copy
+    would hold a second list of n pointers at the peak of the build.
     """
     n = len(keys)
     tnew = tuple.__new__
@@ -73,7 +78,7 @@ def two_queue_merge(
     # for an empty queue: the input keys get one appended, and merged key k
     # is written when tree k is built, so unwritten slots read as infinite.
     inf = float("inf")
-    keys = [*keys, inf]
+    keys.append(inf)
     merged_keys = [inf] * n
     merged_trees: list = []
     mt_append = merged_trees.append

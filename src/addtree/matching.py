@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, permutations
 from typing import Sequence
 
-from .numeric import Value
+from .numeric import Value, exact_sorted
 from .oracle import CapExceededError
 from .tree import without_gc
 
@@ -47,17 +47,19 @@ def minimum_critical_matching(
     """Rank-aligned matching of the two sides, minimizing Pi + Delta.
 
     positives (all > 0) and negatives (all < 0) may come in any order and
-    are sorted here; a side already in order costs one linear pass. When the
-    sides differ in length, the largest-magnitude elements of the longer
-    side are paired and the smallest-magnitude ones are left unmatched.
+    are sorted here, each by numeric.exact_sorted, which orders rationals on
+    exact integer keys when their common denominator is small; a side
+    already in order costs one linear pass. When the sides differ in
+    length, the largest-magnitude elements of the longer side are paired
+    and the smallest-magnitude ones are left unmatched.
     """
     if not positives or not negatives:
         raise ValueError(
             "matching requires at least one positive and one negative value; "
             "single-sign input belongs to the Huffman path"
         )
-    positives = sorted(positives)
-    negatives = sorted(negatives, reverse=True)
+    positives = exact_sorted(positives)
+    negatives = exact_sorted(negatives, reverse=True)
     # Each side is now ordered, so its head is the value nearest zero.
     if positives[0] <= 0:
         raise ValueError(f"expected strictly positive value, got {positives[0]}")

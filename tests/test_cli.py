@@ -270,6 +270,16 @@ def test_simulate_huge_precision_fails_fast(tmp_path, capsys):
     )
 
 
+def test_simulate_precision_too_large_to_shift_names_the_option(tmp_path, capsys):
+    path = write(tmp_path, "three.txt", "1\n0.5\n3\n")
+    code, out, err = run(capsys, "simulate", "--precision", str(2**70), path)
+    assert code == 2 and out == ""
+    assert err == (
+        "invalid input: --precision 1180591620717411303424 is too large: "
+        "too many digits in integer\n"
+    )
+
+
 def test_oracle_zero_value_exit_2(tmp_path, capsys):
     path = write(tmp_path, "zero.txt", "1\n0\n-1\n")
     code, out, err = run(capsys, "oracle", path)

@@ -17,10 +17,25 @@ from addtree.planner import plan, plan_single_sign
 from addtree.tree import Internal, Leaf, build_balanced, cost, serialize
 
 # Few distinct values, so merges tie often and tie-breaking decides the shape.
+# Dyadic denominators up to 2^30, and non-dyadic ones beside 2^30: a list
+# whose common denominator is small next to its size sorts on integer keys
+# in numeric.exact_sorted, and a list with a few large denominators among
+# small ones exceeds its budget and takes the plain sort. Each of the two
+# strategies gives lists of both kinds.
 magnitudes = st.one_of(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=60),
     st.lists(
         st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4),
+        min_size=1,
+        max_size=60,
+    ),
+    st.lists(
+        st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 2, 2**29, 2**30])),
+        min_size=1,
+        max_size=60,
+    ),
+    st.lists(
+        st.builds(Fraction, st.integers(1, 3), st.sampled_from([1, 3, 7, 10, 2**30])),
         min_size=1,
         max_size=60,
     ),

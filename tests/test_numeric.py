@@ -1,15 +1,19 @@
 import re
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from addtree.huffman import build_huffman
 from addtree.numeric import (
     ParseError,
     as_value,
     check_exponent,
+    exact_sorted,
     format_value,
     parse_value,
 )
@@ -204,3 +208,91 @@ def test_format_value_fails_fast_on_a_huge_power_of_two():
     # One division per factor of two took hours here; str() was never reached.
     with pytest.raises(ValueError, match="conversion limit of 4300 digits"):
         format_value(Fraction(3, 2**10**8))
+
+
+# exact_sorted must return what sorted() returns, object for object. Equal
+# values of different types (2, Fraction(2), Fraction(4, 2)) make its
+# stability visible to an identity check.
+sortable = st.one_of(
+    st.integers(),
+    st.builds(
+        lambda m, e: Fraction(m) * Fraction(2) ** e,
+        st.integers(-(2**8), 2**8),
+        st.integers(-60, 60),
+    ),
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([3, 7, 10])),
+    st.builds(
+        Fraction, st.integers(-(2**200), 2**200), st.sampled_from([1, 2, 3, 2**30])
+    ),
+    st.sampled_from([2, -2]).flatmap(
+        lambda v: st.sampled_from([v, Fraction(v), Fraction(2 * v, 2)])
+    ),
+)
+
+
+@given(st.lists(sortable, max_size=40), st.booleans())
+@example([2, Fraction(4, 2), Fraction(1, 3), 2, Fraction(2)], False)
+@example([-2, Fraction(-4, 2), Fraction(-1, 3), -2, Fraction(-2)], True)
+def test_exact_sorted_matches_sorted(values, reverse):
+    expected = sorted(values, reverse=reverse)
+    result = exact_sorted(values, reverse=reverse)
+    assert len(result) == len(expected)
+    assert all(a is b for a, b in zip(result, expected))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("offset", [0, 5], ids=["sampled", "unsampled"])
+def test_exact_sorted_with_fractions_inside_and_outside_its_sample(offset, reverse):
+    # 640 values, so the type sample takes every 10th from the first; every
+    # 10th from `offset` is a Fraction equal to some int in the list.
+    values = [
+        Fraction(2 * (i % 7), 2) if i % 10 == offset else i % 7 - 3 for i in range(640)
+    ]
+    expected = sorted(values, reverse=reverse)
+    result = exact_sorted(values, reverse)
+    assert len(result) == len(expected)
+    assert all(a is b for a, b in zip(result, expected))
+
+
+def first_primes(k):
+    primes = []
+    candidate = 2
+    while len(primes) < k:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+# Scaled to one common denominator, these would take 46.6 MB (the lcm of
+# the first 5,000 primes has 69,675 bits) and about 175 MB (10^5 keys of
+# 13,000 bits). The lone Fraction at the end falls outside the 64-value
+# type sample; at the front it is sampled, and the budget stops the scaling.
+OVER_BUDGET = {
+    "unit_fractions_over_primes": lambda: [Fraction(1, p) for p in first_primes(5000)],
+    "ones_and_one_tiny_fraction": lambda: [1] * 10**5 + [Fraction(1, 2**13000)],
+    "one_tiny_fraction_and_ones": lambda: [Fraction(1, 2**13000)] + [1] * 10**5,
+}
+
+
+@pytest.mark.parametrize("make", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+def test_exact_sorted_takes_the_plain_sort_past_its_budget(make):
+    values = make()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = exact_sorted(values)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == len(values)
+    assert all(a is b for a, b in zip(result, sorted(values)))
+    assert elapsed < 1
+    assert peak < 5 * 10**6
+
+
+def test_huffman_over_a_tiny_fraction_among_ones():
+    values = OVER_BUDGET["ones_and_one_tiny_fraction"]()
+    tree = build_huffman(values)
+    assert tree.value == 10**5 + Fraction(1, 2**13000)
