@@ -43,9 +43,12 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
 
 @without_gc
 def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
-    """Huffman tree for a nondecreasing sequence; the order is checked, and
-    the sort in build_huffman then makes one linear pass."""
+    """Huffman tree for a nondecreasing sequence; the order is checked.
+    Positive values are then already in merge order and skip the sort, and
+    negative ones take build_huffman's descending sort, one linear pass."""
     check_ascending(values)
+    if values and values[0] > 0:
+        return two_queue_merge(list(values))
     return build_huffman(values)
 
 

@@ -142,14 +142,12 @@ def exact_sorted(values: Sequence[Value], reverse: bool = False) -> List[Value]:
     which orders exactly as v does, and the sort's stability keeps equal
     values in input order, as sorted() does. A larger L would make the keys
     outgrow the input (the unit fractions 1/p over the first 5,000 primes
-    need a 69,675-bit L), so such input, like input of other types, takes
-    the plain sort. So does input whose sample of every (n // 64)-th value
-    holds no Fraction: ints alone, or Fractions so rare that the plain sort
-    makes few Fraction comparisons. The sample spares int input a full type
-    scan, a pass over memory as long as the sort's own.
+    need a 69,675-bit L), so such input takes the plain sort, as does input
+    with no Fraction or with values of other types. Telling them apart is
+    one type scan over values, which on ints alone is the only extra work.
     """
-    sample = values[:: len(values) // 64 or 1]
-    if Fraction not in map(type, sample) or not {*map(type, values)} <= {int, Fraction}:
+    types = {*map(type, values)}
+    if Fraction not in types or not types <= {int, Fraction}:
         return sorted(values, reverse=reverse)
     numerator, denominator = attrgetter("numerator"), attrgetter("denominator")
     budget = 2 * (

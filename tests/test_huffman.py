@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.oracle import optimal_cost_dp
-from addtree.tree import Leaf, cost, serialize
+from addtree.tree import Leaf, cost, leaf_values, serialize
 
 positive_lists = st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=9)
 
@@ -52,6 +53,23 @@ def test_huffman_is_optimal(values):
 @given(positive_lists)
 def test_two_queue_matches_heap(values):
     assert cost(build_huffman_sorted(sorted(values))) == cost(build_huffman(values))
+
+
+# Equal values of different types tell apart which of two equal leaves a
+# builder placed where.
+tied_magnitudes = st.lists(
+    st.sampled_from([1, Fraction(1), 2, Fraction(4, 2), Fraction(5, 2)]),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(tied_magnitudes, st.booleans())
+def test_sorted_builder_builds_the_same_tree(magnitudes, negative):
+    values = sorted(-v for v in magnitudes) if negative else sorted(magnitudes)
+    expected, result = build_huffman(values), build_huffman_sorted(values)
+    assert serialize(result) == serialize(expected)
+    assert all(a is b for a, b in zip(leaf_values(result), leaf_values(expected)))
 
 
 @given(positive_lists)

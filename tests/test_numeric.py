@@ -240,20 +240,6 @@ def test_exact_sorted_matches_sorted(values, reverse):
     assert all(a is b for a, b in zip(result, expected))
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("offset", [0, 5], ids=["sampled", "unsampled"])
-def test_exact_sorted_with_fractions_inside_and_outside_its_sample(offset, reverse):
-    # 640 values, so the type sample takes every 10th from the first; every
-    # 10th from `offset` is a Fraction equal to some int in the list.
-    values = [
-        Fraction(2 * (i % 7), 2) if i % 10 == offset else i % 7 - 3 for i in range(640)
-    ]
-    expected = sorted(values, reverse=reverse)
-    result = exact_sorted(values, reverse)
-    assert len(result) == len(expected)
-    assert all(a is b for a, b in zip(result, expected))
-
-
 def first_primes(k):
     primes = []
     candidate = 2
@@ -266,12 +252,10 @@ def first_primes(k):
 
 # Scaled to one common denominator, these would take 46.6 MB (the lcm of
 # the first 5,000 primes has 69,675 bits) and about 175 MB (10^5 keys of
-# 13,000 bits). The lone Fraction at the end falls outside the 64-value
-# type sample; at the front it is sampled, and the budget stops the scaling.
+# 13,000 bits); the budget stops the scaling first.
 OVER_BUDGET = {
     "unit_fractions_over_primes": lambda: [Fraction(1, p) for p in first_primes(5000)],
     "ones_and_one_tiny_fraction": lambda: [1] * 10**5 + [Fraction(1, 2**13000)],
-    "one_tiny_fraction_and_ones": lambda: [Fraction(1, 2**13000)] + [1] * 10**5,
 }
 
 
