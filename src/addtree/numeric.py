@@ -24,11 +24,13 @@ class ParseError(ValueError):
 
 
 def as_value(v) -> Value:
-    """Normalize a rational to int (when integral) or Fraction."""
+    """Normalize a rational to int (when integral) or Fraction. An int, or a
+    Fraction that is not integral, is returned as it is, not copied."""
     if isinstance(v, int):
         return v
-    f = Fraction(v)
-    return f.numerator if f.denominator == 1 else f
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def parse_value(text: str) -> Value:
@@ -36,7 +38,12 @@ def parse_value(text: str) -> Value:
 
     "1.1" parses to exactly 11/10 -- there is no intermediate binary float.
     "p/q" forms are accepted as well. A plain run of decimal digits, with an
-    optional sign, becomes an int without building a Fraction.
+    optional sign, becomes an int without building a Fraction. A plain
+    decimal, an optional sign and decimal digits on both sides of one dot
+    (the whole part may be empty: "-.5"), becomes int(digits) / 10**k for k
+    fractional digits, an int when that divides, without Fraction()'s
+    string parse. Every other form goes through Fraction(); all routes
+    give the value and type Fraction() followed by as_value() gives.
 
     Literal size is capped by Python's int/str conversion limit
     (sys.get_int_max_str_digits(), 4300 by default; 0 turns it off): a
@@ -49,14 +56,43 @@ def parse_value(text: str) -> Value:
     limit = get_int_max_str_digits()
     if limit and len(token) > limit:
         raise ParseError(f"value literal is longer than {limit} characters")
-    if (token[1:] if token[0] in "+-" else token).isdecimal():
-        return int(token)
+    head, dot, frac = token.partition(".")
+    whole = head[1:] if head[0:1] in ("+", "-") else head
+    if not dot:
+        if whole.isdecimal():
+            return int(token)
+    elif frac.isdecimal() and (not whole or whole.isdecimal()):
+        value = Fraction(int(head + frac), 10 ** len(frac))
+        return value.numerator if value.denominator == 1 else value
     if limit:
         check_exponent(token, limit)
     try:
         return as_value(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed value literal: {token!r}") from exc
+
+
+def parse_values(tokens: List[str]) -> List[Value]:
+    """[parse_value(t) for t in tokens], with all-int input converted in one
+    C-level int() pass.
+
+    int() differs from parse_value only on a literal with "_" (Fraction()
+    rejects those before Python 3.11) or one longer than the size cap
+    (int() counts digits, not characters: it takes "+" followed by 4300
+    ones). Without either, int() accepts exactly the tokens that
+    parse_value turns into an int, with the same value. So the int() pass
+    runs only then, and at the first token it rejects, every token goes
+    through parse_value instead; on a bad token that raises its ParseError.
+    """
+    limit = get_int_max_str_digits()
+    if "_" not in "".join(tokens) and (
+        not limit or max(map(len, tokens), default=0) <= limit
+    ):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return list(map(parse_value, tokens))
 
 
 def check_exponent(token: str, limit: int) -> None:

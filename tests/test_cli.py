@@ -11,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from addtree import planner
-from addtree.cli import main, read_values
-from addtree.numeric import as_value, format_value
+from addtree.cli import _read_text, main, read_values
+from addtree.numeric import ParseError, as_value, format_value, parse_value
 from addtree.tree import cost, serialize
 
 
@@ -127,50 +127,138 @@ def test_undecodable_input_names_the_line(tmp_path, capsys, data, line):
     assert err == f"invalid input: {path}:{line}: not valid UTF-8 (byte 0xff)\n"
 
 
+def reference_read_values(path):
+    """read_values as a per-line loop: each line's comment cut, the rest
+    stripped and parsed on its own, the first bad line named."""
+    values = []
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        token = line.split("#", 1)[0].strip()
+        if not token:
+            continue
+        try:
+            values.append(parse_value(token))
+        except ParseError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not values:
+        raise ValueError(f"{path}: no values found")
+    return values
+
+
+def read_outcome(read, path):
+    try:
+        values = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "values", values, [type(v) for v in values]
+
+
 # Comment text may hold anything but a line break, '#' included.
-comments = st.text(alphabet="# abc-(1).\t", max_size=8).map(lambda c: "#" + c)
+comments = st.text(alphabet="# abc-(1)._\t", max_size=8).map(lambda c: "#" + c)
 pads = st.sampled_from(["", " ", "\t", "  "])
+
+# Literals in other forms than format_value's, with their values: plain
+# decimals (signs, leading zeros, an empty whole part, Arabic-Indic
+# digits), underscores, exponents and p/q.
+OTHER_FORMS = [
+    ("+.5", Fraction(1, 2)),
+    ("-0.0", 0),
+    ("+0.000", 0),
+    ("007.250", Fraction(29, 4)),
+    ("-.125", Fraction(-1, 8)),
+    ("\u0663.\u0663", Fraction(33, 10)),
+    ("\u0661\u0662", 12),
+    ("5.", 5),
+    ("1_000", 1000),
+    ("-2_5.0_5", Fraction(-2505, 100)),
+    ("2.5e-1", Fraction(1, 4)),
+    ("-3E2", -300),
+    ("3/4", Fraction(3, 4)),
+    ("-6/4", Fraction(-3, 2)),
+    ("8/4", 2),
+]
+# Tokens parse_value rejects, the long one only for its length.
+BAD_TOKENS = ["abc", ".", "1.2.3", "1..2", "+-1", "1/0", "1e5000", "1__0", "+" + "1" * 4300]
 
 
 @st.composite
 def value_files(draw):
     """(file bytes, values): one value per line with spaces around it and an
     optional trailing comment, blank and comment-only lines in between, and
-    LF or CRLF line ends."""
-    values = draw(
-        st.lists(
-            st.one_of(
-                st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
-                st.fractions(max_denominator=1000).filter(bool).map(as_value),
-            ),
-            max_size=12,
+    LF or CRLF line ends. Half the files hold only integer tokens; the rest
+    mix in format_value's decimals and p/q and the OTHER_FORMS. values is
+    None when one line holds one of the BAD_TOKENS."""
+    ints = st.integers(min_value=-(10**30), max_value=10**30).filter(bool)
+    if draw(st.booleans()):
+        kinds = ints
+    else:
+        kinds = st.one_of(
+            ints,
+            st.fractions(max_denominator=1000).filter(bool).map(as_value),
+            st.sampled_from(OTHER_FORMS),
         )
-    )
+    entries = draw(st.lists(kinds, max_size=12))
+    bad = draw(st.one_of(st.none(), st.sampled_from(BAD_TOKENS)))
+    if bad is not None:
+        entries.insert(draw(st.integers(0, len(entries))), (bad, None))
     lines = []
-    for v in values:
+    for entry in entries:
         for _ in range(draw(st.integers(0, 2))):
             lines.append(draw(pads) + draw(st.one_of(st.just(""), comments)))
-        token = format_value(v)
-        if isinstance(v, int) and v > 0 and draw(st.booleans()):
+        token, v = entry if isinstance(entry, tuple) else (format_value(entry), entry)
+        if isinstance(entry, int) and v > 0 and draw(st.booleans()):
             token = "+" + token
         tail = draw(st.one_of(st.just(""), comments))
         lines.append(draw(pads) + token + draw(pads) + tail)
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    values = None if bad is not None else [e[1] if isinstance(e, tuple) else e for e in entries]
     return text.encode(), values
 
 
 @given(value_files())
 def test_read_values_fuzz(tmp_path_factory, case):
     data, values = case
-    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-    path.write_bytes(data)
-    if not values:
-        with pytest.raises(ValueError, match="no values found"):
-            read_values(str(path))
-        return
-    got = read_values(str(path))
-    assert got == values
-    assert [type(v) for v in got] == [type(v) for v in values]
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.txt")
+    Path(path).write_bytes(data)
+    outcome = read_outcome(read_values, path)
+    assert outcome == read_outcome(reference_read_values, path)
+    if values is None:
+        assert outcome[0] == "error"
+    elif not values:
+        assert outcome == ("error", f"{path}: no values found")
+    else:
+        assert outcome == ("values", values, [type(v) for v in values])
+
+
+@pytest.mark.parametrize(
+    "last", ["0.5", "-.25", "1_000", "3/4", "1e3", "8/4", "1.2.3", "+" + "1" * 4300]
+)
+def test_int_file_with_one_other_token_last(tmp_path, last):
+    # Every line but the last takes int(); the last sends the whole file
+    # through parse_value, or names its line.
+    text = "".join(f"{v}\n" for v in range(-500, 500) if v) + last + "\n"
+    path = write(tmp_path, "ints.txt", text)
+    assert read_outcome(read_values, path) == read_outcome(reference_read_values, path)
+
+
+def test_long_signed_int_in_an_int_file_exit_2(tmp_path, capsys):
+    # int() takes 4300 digits after a sign; the length cap counts the sign.
+    path = write(tmp_path, "ints.txt", "1\n-2\n+" + "1" * 4300 + "\n3\n")
+    code, out, err = run(capsys, "plan", path)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {path}:3: value literal is longer than 4300 characters\n"
+
+
+def test_bad_token_after_many_ints_names_its_line(tmp_path, capsys):
+    path = write(tmp_path, "ints.txt", "7\n-7\n" * 50000 + "7x\n8\n")
+    code, out, err = run(capsys, "plan", path)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {path}:100001: malformed value literal: '7x'\n"
+
+
+def test_comments_with_underscores_and_digits(tmp_path):
+    path = write(tmp_path, "notes.txt", "# 1_000 or 2.5\n5 # __init__ 42\n-3#7_7\n  # 9/0\n")
+    values = read_values(path)
+    assert values == [5, -3] and [type(v) for v in values] == [int, int]
 
 
 def test_oversized_literal_exit_2_names_the_line(tmp_path, capsys):

@@ -16,7 +16,9 @@ from addtree.numeric import (
     exact_sorted,
     format_value,
     parse_value,
+    parse_values,
 )
+from addtree import numeric
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -83,6 +85,13 @@ literal_text = st.one_of(
 @example("1__0")
 @example("+")
 @example("")
+@example("-.5")
+@example("+0.000")
+@example("\u0663.\u0663")
+@example("5.")
+@example(".")
+@example("1.2.3")
+@example("-0.0")
 def test_parse_value_matches_fraction_reference(text):
     # Keep exponents below the size cap, which the reference does not have.
     assume(not re.search(r"[eE][+-]?[0-9_]{4,}", text))
@@ -94,6 +103,68 @@ def test_parse_value_matches_fraction_reference(text):
         return
     got = parse_value(text)
     assert got == expected and type(got) is type(expected)
+
+
+def parse_outcome(parse, tokens):
+    try:
+        values = parse(tokens)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "values", values, [type(v) for v in values]
+
+
+int_tokens = st.integers(-(10**20), 10**20).map(str)
+
+
+@given(
+    st.one_of(
+        st.lists(int_tokens, max_size=8),
+        st.lists(st.one_of(int_tokens, literal_text), max_size=8),
+    )
+)
+@example(["1", "+" + "1" * 4300])
+@example(["1", "1_000"])
+@example(["1", "2.5", "3"])
+@example(["1", "", "3"])
+def test_parse_values_matches_parse_value(tokens):
+    assume(not any(re.search(r"[eE][+-]?[0-9_]{4,}", t) for t in tokens))
+    expected = parse_outcome(lambda ts: [parse_value(t) for t in ts], tokens)
+    assert parse_outcome(parse_values, tokens) == expected
+
+
+@pytest.mark.parametrize(
+    "tokens, per_token",
+    [
+        (["1", "-22", "+333", "\u0664"], False),
+        (["1", "-22", "2.5"], True),
+        (["1", "-22", "1_000"], True),
+        (["1", "+" + "2" * 4300], True),
+        (["1", "-" + "2" * 4299], False),
+    ],
+)
+def test_parse_values_route(monkeypatch, tokens, per_token):
+    # int() converts all-int input; anything int() may disagree on, or
+    # rejects, goes through parse_value token by token.
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return parse_value(token)
+
+    expected = parse_outcome(lambda ts: [parse_value(t) for t in ts], tokens)
+    monkeypatch.setattr(numeric, "parse_value", counted)
+    assert parse_outcome(parse_values, tokens) == expected
+    assert calls == (tokens if per_token else [])
+
+
+def test_as_value_keeps_ints_and_fractions():
+    f = Fraction(3, 7)
+    assert as_value(f) is f
+    big = 10**30
+    assert as_value(big) is big
+    whole = as_value(Fraction(6, 3))
+    assert whole == 2 and type(whole) is int
+    assert as_value(0.5) == Fraction(1, 2) and type(as_value(0.5)) is Fraction
 
 
 @pytest.mark.parametrize(
