@@ -11,6 +11,7 @@ their common denominator is small.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import attrgetter
 from sys import get_int_max_str_digits
@@ -62,8 +63,7 @@ def parse_value(text: str) -> Value:
         if whole.isdecimal():
             return int(token)
     elif frac.isdecimal() and (not whole or whole.isdecimal()):
-        value = Fraction(int(head + frac), 10 ** len(frac))
-        return value.numerator if value.denominator == 1 else value
+        return as_value(Fraction(int(head + frac), 10 ** len(frac)))
     if limit:
         check_exponent(token, limit)
     try:
@@ -81,18 +81,23 @@ def parse_values(tokens: List[str]) -> List[Value]:
     (int() counts digits, not characters: it takes "+" followed by 4300
     ones). Without either, int() accepts exactly the tokens that
     parse_value turns into an int, with the same value. So the int() pass
-    runs only then, and at the first token it rejects, every token goes
-    through parse_value instead; on a bad token that raises its ParseError.
+    runs only then; from the first token it rejects on, the tokens go
+    through parse_value, and a bad one raises its ParseError.
     """
+    values: List[Value] = []
     limit = get_int_max_str_digits()
     if "_" not in "".join(tokens) and (
         not limit or max(map(len, tokens), default=0) <= limit
     ):
         try:
-            return list(map(int, tokens))
+            values.extend(map(int, tokens))
+            return values
         except ValueError:
             pass
-    return list(map(parse_value, tokens))
+    # values holds what int() converted before the token it rejected; the
+    # result is the same whatever prefix extend() keeps.
+    values.extend(map(parse_value, islice(tokens, len(values), None)))
+    return values
 
 
 def check_exponent(token: str, limit: int) -> None:

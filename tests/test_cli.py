@@ -233,8 +233,8 @@ def test_read_values_fuzz(tmp_path_factory, case):
     "last", ["0.5", "-.25", "1_000", "3/4", "1e3", "8/4", "1.2.3", "+" + "1" * 4300]
 )
 def test_int_file_with_one_other_token_last(tmp_path, last):
-    # Every line but the last takes int(); the last sends the whole file
-    # through parse_value, or names its line.
+    # Every line but the last takes int(); the last goes through
+    # parse_value, or names its line.
     text = "".join(f"{v}\n" for v in range(-500, 500) if v) + last + "\n"
     path = write(tmp_path, "ints.txt", text)
     assert read_outcome(read_values, path) == read_outcome(reference_read_values, path)

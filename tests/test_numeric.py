@@ -135,16 +135,18 @@ def test_parse_values_matches_parse_value(tokens):
 @pytest.mark.parametrize(
     "tokens, per_token",
     [
-        (["1", "-22", "+333", "\u0664"], False),
-        (["1", "-22", "2.5"], True),
-        (["1", "-22", "1_000"], True),
-        (["1", "+" + "2" * 4300], True),
-        (["1", "-" + "2" * 4299], False),
+        (["1", "-22", "+333", "\u0664"], []),
+        (["1", "-22", "2.5", "7"], ["2.5", "7"]),
+        (["2.5", "7"], ["2.5", "7"]),
+        (["1", "-22", "1_000"], ["1", "-22", "1_000"]),
+        (["1", "+" + "2" * 4300], ["1", "+" + "2" * 4300]),
+        (["1", "-" + "2" * 4299], []),
     ],
 )
 def test_parse_values_route(monkeypatch, tokens, per_token):
-    # int() converts all-int input; anything int() may disagree on, or
-    # rejects, goes through parse_value token by token.
+    # int() converts all-int input, and the ints before the first token it
+    # rejects; anything int() may disagree on goes through parse_value
+    # token by token.
     calls = []
 
     def counted(token):
@@ -154,7 +156,7 @@ def test_parse_values_route(monkeypatch, tokens, per_token):
     expected = parse_outcome(lambda ts: [parse_value(t) for t in ts], tokens)
     monkeypatch.setattr(numeric, "parse_value", counted)
     assert parse_outcome(parse_values, tokens) == expected
-    assert calls == (tokens if per_token else [])
+    assert calls == per_token
 
 
 def test_as_value_keeps_ints_and_fractions():
