@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from addtree import numeric
 from addtree.huffman import build_huffman
 from addtree.numeric import (
     ParseError,
@@ -18,7 +19,6 @@ from addtree.numeric import (
     parse_value,
     parse_values,
 )
-from addtree import numeric
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
