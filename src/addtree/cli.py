@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import List, Optional
 
 from . import fpsim, hardness, planner, tree
-from .numeric import ParseError, Value, format_value, parse_value, parse_values
+from .numeric import ParseError, Value, format_value, parse_value, parse_values, uncommented_lines
 from .oracle import CapExceededError
 
 EXIT_USAGE = 1
@@ -44,32 +45,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    r"""The file as UTF-8 text, a leading byte-order mark dropped and every
-    line end (\r\n, \r or \n) turned into \n."""
+    r"""The file as UTF-8 text, a leading byte-order mark dropped; text
+    mode turns each line end (\r\n, \r or \n) into \n. Not "utf-8-sig":
+    in text mode it reads a file of one or two bytes of a mark as empty."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
-    try:
-        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.object is the input after any byte-order mark.
+        # exc.object is the whole input, before line ends are translated.
         head = exc.object[: exc.start]
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         byte = exc.object[exc.start]
         raise ValueError(
             f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x})"
         ) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
-def _uncommented_lines(text: str) -> List[str]:
-    lines = text.split("\n")
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    return lines
 
 
 def read_values(path: str) -> List[Value]:
@@ -77,23 +67,20 @@ def read_values(path: str) -> List[Value]:
     are cut, each exactly what parse_value gives for its line.
 
     The tokens convert in one batch (numeric.parse_values), so an all-int
-    file takes one int() pass. Only when a token is bad are the lines
-    scanned again, to name the first bad one as path:line.
+    file takes one int() pass. A bad token is named as path:line by
+    counting non-blank lines up to its index, without parsing any again.
     """
     text = _read_text(path)
-    tokens = list(filter(None, map(str.strip, _uncommented_lines(text))))
+    tokens = list(filter(None, map(str.strip, uncommented_lines(text))))
     if not tokens:
         raise ValueError(f"{path}: no values found")
     try:
         return parse_values(tokens)
     except ParseError as exc:
-        for lineno, line in enumerate(_uncommented_lines(text), 1):
-            if line.strip():
-                try:
-                    parse_value(line)
-                except ParseError:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-        raise
+        # The line numbers of the non-blank lines, one per token.
+        linenos = compress(count(1), map(str.strip, uncommented_lines(text)))
+        lineno = next(islice(linenos, exc.index, None))
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def _print_json(payload: dict) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .numeric import Value
+from .numeric import Value, uncommented_lines
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,8 @@ def random_3par_instance(m: int, rng: random.Random) -> ThreePartitionInstance:
 
 def parse_3par(text: str) -> ThreePartitionInstance:
     """Parse the instance file format: first line "K m", then 3m integers
-    (whitespace separated, '#' comments ignored)."""
-    tokens: List[str] = []
-    for line in text.split("\n"):
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+    (whitespace separated, '#' comments cut by numeric.uncommented_lines)."""
+    tokens = " ".join(uncommented_lines(text)).split()
     if len(tokens) < 2:
         raise ValueError("3-PARTITION file needs a 'K m' header")
     try:

@@ -21,7 +21,8 @@ Value = Union[int, Fraction]
 
 
 class ParseError(ValueError):
-    """A value or tree literal could not be parsed."""
+    """A value or tree literal could not be parsed. parse_values sets index
+    to the position of the token it rejected."""
 
 
 def as_value(v) -> Value:
@@ -72,6 +73,15 @@ def parse_value(text: str) -> Value:
         raise ParseError(f"malformed value literal: {token!r}") from exc
 
 
+def uncommented_lines(text: str) -> List[str]:
+    """The lines of text (split at \\n only) with each '#' comment cut: the
+    one comment rule of value files and 3-PARTITION files."""
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return lines
+
+
 def parse_values(tokens: List[str]) -> List[Value]:
     """[parse_value(t) for t in tokens], with all-int input converted in one
     C-level int() pass.
@@ -82,7 +92,8 @@ def parse_values(tokens: List[str]) -> List[Value]:
     ones). Without either, int() accepts exactly the tokens that
     parse_value turns into an int, with the same value. So the int() pass
     runs only then; from the first token it rejects on, the tokens go
-    through parse_value, and a bad one raises its ParseError.
+    through parse_value, and a bad one raises its ParseError with index
+    set to that token's position in tokens.
     """
     values: List[Value] = []
     limit = get_int_max_str_digits()
@@ -94,9 +105,13 @@ def parse_values(tokens: List[str]) -> List[Value]:
             return values
         except ValueError:
             pass
-    # values holds what int() converted before the token it rejected; the
-    # result is the same whatever prefix extend() keeps.
-    values.extend(map(parse_value, islice(tokens, len(values), None)))
+    # extend() keeps the values it converted before an exception: the ints
+    # before the token int() rejected, then those before the bad token.
+    try:
+        values.extend(map(parse_value, islice(tokens, len(values), None)))
+    except ParseError as exc:
+        exc.index = len(values)
+        raise
     return values
 
 

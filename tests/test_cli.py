@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree import planner
+from addtree import cli, numeric, planner
 from addtree.cli import _read_text, main, read_values
 from addtree.numeric import ParseError, as_value, format_value, parse_value
 from addtree.tree import cost, serialize
@@ -127,6 +127,26 @@ def test_undecodable_input_names_the_line(tmp_path, capsys, data, line):
     assert err == f"invalid input: {path}:{line}: not valid UTF-8 (byte 0xff)\n"
 
 
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"\xef\xbb\xbf1\r\n\xc3\n", 2, 0xC3),
+        (b"\xef\xbb\xbf\r\r\n\xff", 3, 0xFF),
+        (b"\xef\xbb\xbf\xff", 1, 0xFF),
+        # Only the start of a byte-order mark: not UTF-8, not an empty file.
+        (b"\xef", 1, 0xEF),
+        (b"\xef\xbb", 1, 0xEF),
+    ],
+)
+def test_undecodable_input_after_a_byte_order_mark(tmp_path, capsys, data, line, byte):
+    # The line count rests on the undecoded input, the mark included.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "plan", str(path))
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {path}:{line}: not valid UTF-8 (byte 0x{byte:02x})\n"
+
+
 def reference_read_values(path):
     """read_values as a per-line loop: each line's comment cut, the rest
     stripped and parsed on its own, the first bad line named."""
@@ -184,9 +204,9 @@ BAD_TOKENS = ["abc", ".", "1.2.3", "1..2", "+-1", "1/0", "1e5000", "1__0", "+" +
 def value_files(draw):
     """(file bytes, values): one value per line with spaces around it and an
     optional trailing comment, blank and comment-only lines in between, and
-    LF or CRLF line ends. Half the files hold only integer tokens; the rest
-    mix in format_value's decimals and p/q and the OTHER_FORMS. values is
-    None when one line holds one of the BAD_TOKENS."""
+    LF, CRLF or lone CR line ends. Half the files hold only integer tokens;
+    the rest mix in format_value's decimals and p/q and the OTHER_FORMS.
+    values is None when one line holds one of the BAD_TOKENS."""
     ints = st.integers(min_value=-(10**30), max_value=10**30).filter(bool)
     if draw(st.booleans()):
         kinds = ints
@@ -209,7 +229,7 @@ def value_files(draw):
             token = "+" + token
         tail = draw(st.one_of(st.just(""), comments))
         lines.append(draw(pads) + token + draw(pads) + tail)
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
     values = None if bad is not None else [e[1] if isinstance(e, tuple) else e for e in entries]
     return text.encode(), values
 
@@ -253,6 +273,24 @@ def test_bad_token_after_many_ints_names_its_line(tmp_path, capsys):
     code, out, err = run(capsys, "plan", path)
     assert code == 2 and out == ""
     assert err == f"invalid input: {path}:100001: malformed value literal: '7x'\n"
+
+
+def test_bad_token_is_named_without_parsing_again(tmp_path, monkeypatch):
+    # The one parse_value call is the one that rejects "abc"; its line is
+    # found by counting lines, not by parsing them again.
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return parse_value(token)
+
+    monkeypatch.setattr(numeric, "parse_value", counted)
+    monkeypatch.setattr(cli, "parse_value", counted)
+    text = "# head\n\n" + "".join(f"{v} # {v}\n" for v in range(1000)) + "  \nabc\n9\n"
+    path = write(tmp_path, "ints.txt", text)
+    with pytest.raises(ValueError, match=r"ints.txt:1004: malformed value literal: 'abc'$"):
+        read_values(path)
+    assert calls == ["abc"]
 
 
 def test_comments_with_underscores_and_digits(tmp_path):

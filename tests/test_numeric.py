@@ -159,6 +159,24 @@ def test_parse_values_route(monkeypatch, tokens, per_token):
     assert calls == per_token
 
 
+@pytest.mark.parametrize(
+    "tokens, index",
+    [
+        (["abc"], 0),
+        (["1", "-2", "abc", "3"], 2),
+        (["1", "2.5", "3", "1/0", "x"], 3),
+        (["1_0", "7", "1__0"], 2),
+        (["1", "+" + "1" * 4300], 1),
+    ],
+)
+def test_parse_values_sets_the_bad_index(tokens, index):
+    # The int() pass, the parse_value pass after it, and input that skips
+    # the int() pass all report the position of the token they reject.
+    with pytest.raises(ParseError) as info:
+        parse_values(tokens)
+    assert info.value.index == index
+
+
 def test_as_value_keeps_ints_and_fractions():
     f = Fraction(3, 7)
     assert as_value(f) is f

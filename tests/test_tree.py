@@ -115,6 +115,16 @@ def test_deep_tree_operations_are_iterative():
     assert text.count("(") == 5000
 
 
+def test_repr_of_deep_trees():
+    # A namedtuple's own repr recurses into the children and raises
+    # RecursionError on a chain this deep; the nodes name only their value.
+    node = Leaf(1)
+    for _ in range(10**5):
+        node = Internal(node, Leaf(1))
+    assert repr(node) == "Internal(value=100001)"
+    assert repr(Leaf(2)) == "Leaf(2)"
+
+
 def test_deep_tree_json_and_parse_roundtrip():
     # Huffman on geometric input builds a chain of depth n - 1.
     tree = plan([2**i for i in range(3000)], "huffman").tree
