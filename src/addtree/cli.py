@@ -122,7 +122,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    instance = hardness.parse_3par(_read_text(args.input))
+    try:
+        instance = hardness.parse_3par(_read_text(args.input))
+    except ParseError as exc:
+        raise ValueError(f"{args.input}:{exc.lineno}: {exc}") from None
     reduction = hardness.reduce_to_addition_tree(instance)
     prefix = args.out_prefix or str(Path(args.input).with_suffix("")) + "_reduced"
     x_path = Path(prefix + ".txt")
@@ -208,7 +211,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@tree.without_gc
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command and return its exit code. The cyclic GC stays paused
+    throughout: every structure a command builds is acyclic and is freed by
+    reference counting, so a collection would only scan the new tree. The
+    GC state is restored on return."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .numeric import Value, uncommented_lines
+from .numeric import ParseError, Value, uncommented_lines
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,23 @@ def random_3par_instance(m: int, rng: random.Random) -> ThreePartitionInstance:
 
 def parse_3par(text: str) -> ThreePartitionInstance:
     """Parse the instance file format: first line "K m", then 3m integers
-    (whitespace separated, '#' comments cut by numeric.uncommented_lines)."""
-    tokens = " ".join(uncommented_lines(text)).split()
-    if len(tokens) < 2:
+    (whitespace separated, '#' comments cut by numeric.uncommented_lines).
+
+    A token that is not an integer raises ParseError with lineno set to
+    its line, counted from 1.
+    """
+    lines = uncommented_lines(text)
+    if len(" ".join(lines).split()) < 2:
         raise ValueError("3-PARTITION file needs a 'K m' header")
-    try:
-        k, m = int(tokens[0]), int(tokens[1])
-        b = [int(tok) for tok in tokens[2:]]
-    except ValueError as exc:
-        raise ValueError(f"malformed 3-PARTITION file: {exc}") from None
+    values: List[int] = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            values.extend(map(int, line.split()))
+        except ValueError as exc:
+            error = ParseError(f"malformed 3-PARTITION file: {exc}")
+            error.lineno = lineno
+            raise error from None
+    k, m, *b = values
     if len(b) != 3 * m:
         raise ValueError(f"expected {3 * m} elements after the header, got {len(b)}")
     return ThreePartitionInstance(b=tuple(b), k=k)

@@ -22,7 +22,8 @@ Value = Union[int, Fraction]
 
 class ParseError(ValueError):
     """A value or tree literal could not be parsed. parse_values sets index
-    to the position of the token it rejected."""
+    to the position of the token it rejected, hardness.parse_3par sets
+    lineno to the line of its bad token."""
 
 
 def as_value(v) -> Value:
@@ -44,8 +45,10 @@ def parse_value(text: str) -> Value:
     decimal, an optional sign and decimal digits on both sides of one dot
     (the whole part may be empty: "-.5"), becomes int(digits) / 10**k for k
     fractional digits, an int when that divides, without Fraction()'s
-    string parse. Every other form goes through Fraction(); all routes
-    give the value and type Fraction() followed by as_value() gives.
+    string parse. So does a plain ratio, an optional sign and decimal
+    digits on both sides of one slash ("-3/4"), by two int() calls. Every
+    other form goes through Fraction(); all routes give the value and
+    type Fraction() followed by as_value() gives.
 
     Literal size is capped by Python's int/str conversion limit
     (sys.get_int_max_str_digits(), 4300 by default; 0 turns it off): a
@@ -63,6 +66,14 @@ def parse_value(text: str) -> Value:
     if not dot:
         if whole.isdecimal():
             return int(token)
+        p, slash, q = whole.partition("/")
+        if slash and p.isdecimal() and q.isdecimal():
+            numerator, denominator = int(p), int(q)
+            if not denominator:
+                raise ParseError(f"malformed value literal: {token!r}")
+            if head[0] == "-":
+                numerator = -numerator
+            return as_value(Fraction(numerator, denominator))
     elif frac.isdecimal() and (not whole or whole.isdecimal()):
         return as_value(Fraction(int(head + frac), 10 ** len(frac)))
     if limit:
@@ -137,7 +148,8 @@ def format_value(v: Value) -> str:
     A digit string longer than sys.get_int_max_str_digits() raises
     ValueError with a message naming that limit.
     """
-    v = as_value(v)
+    if type(v) is not int:  # an int, the common leaf, skips the call
+        v = as_value(v)
     try:
         if isinstance(v, int):
             return str(v)

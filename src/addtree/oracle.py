@@ -81,21 +81,28 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
             sub = (sub - 1) & rest
         f[mask] = abs(sums[mask]) + best
 
-    def rebuild(mask: int) -> AdditionTree:
-        if mask & (mask - 1) == 0:
-            return Leaf(x[mask.bit_length() - 1])
-        lsb = mask & -mask
-        rest = mask ^ lsb
-        target = f[mask] - abs(sums[mask])
-        sub = 0  # submasks of rest in increasing order: the smallest optimal A
-        while f[sub | lsb] + f[rest ^ sub] != target:
-            sub = (sub - rest) & rest
-        return Internal(rebuild(sub | lsb), rebuild(rest ^ sub))
-
     full = size - 1
     return OptimalResult(
-        optimal_cost=as_value(Fraction(f[full], scale)), witness=rebuild(full)
+        optimal_cost=as_value(Fraction(f[full], scale)),
+        witness=_rebuild(full, x, f, sums),
     )
+
+
+def _rebuild(mask: int, x: Sequence[Value], f: list, sums: list) -> AdditionTree:
+    """The witness subtree over mask, from the DP tables f and sums.
+
+    A module function, not a closure: a recursive closure is a reference
+    cycle, which would keep both 2^n tables alive until the cyclic GC ran.
+    """
+    if mask & (mask - 1) == 0:
+        return Leaf(x[mask.bit_length() - 1])
+    lsb = mask & -mask
+    rest = mask ^ lsb
+    target = f[mask] - abs(sums[mask])
+    sub = 0  # submasks of rest in increasing order: the smallest optimal A
+    while f[sub | lsb] + f[rest ^ sub] != target:
+        sub = (sub - rest) & rest
+    return Internal(_rebuild(sub | lsb, x, f, sums), _rebuild(rest ^ sub, x, f, sums))
 
 
 def double_factorial_tree_count(n: int) -> int:

@@ -60,20 +60,41 @@ def leaf_values(tree: AdditionTree) -> list:
 
 
 def cost(tree: AdditionTree) -> Value:
-    """Sum of |value| over internal nodes; a lone leaf costs 0."""
-    return sum(abs(node.value) for node in nodes(tree) if isinstance(node, Internal))
+    """Sum of |value| over internal nodes; a lone leaf costs 0.
+
+    Adds in preorder, as sum() over nodes() would, in one walk down each
+    left spine; only internal right children wait on the stack.
+    """
+    total = 0
+    stack = [tree]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        while isinstance(node, Internal):
+            node, right, value = node
+            total += abs(value)
+            if isinstance(right, Internal):
+                push(right)
+    return total
 
 
 def depth(tree: AdditionTree) -> int:
-    """Number of edges on the longest root-to-leaf path."""
+    """Number of edges on the longest root-to-leaf path.
+
+    The same walk as cost: a leaf right child is as deep as its left
+    sibling, whose spine ends at least that deep, so it is never pushed.
+    """
     best = 0
     stack = [(tree, 0)]
+    push = stack.append
     while stack:
         node, d = stack.pop()
-        if isinstance(node, Internal):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-        elif d > best:
+        while isinstance(node, Internal):
+            node, right, _ = node
+            d += 1
+            if isinstance(right, Internal):
+                push((right, d))
+        if d > best:
             best = d
     return best
 
@@ -140,13 +161,17 @@ def serialize(tree: AdditionTree) -> str:
             write(node)
             continue
         # Walk down the left spine: each Internal opens at once and leaves
-        # its separator, right child and closing paren on the stack.
+        # its separator, right child and closing paren on the stack, as
+        # one string when the right child is a leaf.
         while isinstance(node, Internal):
             write("(")
-            push(")")
-            push(node.right)
-            push(" ")
-            node = node.left
+            node, right, _ = node
+            if isinstance(right, Internal):
+                push(")")
+                push(right)
+                push(" ")
+            else:
+                push(f" {format_value(right.value)})")
         write(format_value(node.value))
     return "".join(out)
 

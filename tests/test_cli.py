@@ -366,6 +366,16 @@ def test_reduce_invalid_instance_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_reduce_names_the_file_and_line_of_a_bad_element(tmp_path, capsys):
+    path = write(tmp_path, "bad.txt", "100 1\n30 x 40\n")
+    code, out, err = run(capsys, "reduce", path)
+    assert code == 2 and out == ""
+    assert err == (
+        f"invalid input: {path}:2: malformed 3-PARTITION file: "
+        "invalid literal for int() with base 10: 'x'\n"
+    )
+
+
 def test_simulate_command(tmp_path, capsys):
     path = write(tmp_path, "two.txt", "5\n4\n")
     code, out, _ = run(capsys, "simulate", "--precision", "3", "--strategy", "balanced", path)

@@ -1,13 +1,15 @@
-"""Every public builder of an O(n)-node tree runs with the cyclic GC paused
-and leaves the GC state as it found it."""
+"""Every public builder of an O(n)-node tree, and the command line's main,
+runs with the cyclic GC paused and leaves the GC state as it found it."""
 
 import gc
 
 import pytest
 
+from addtree.cli import main
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.numeric import ParseError
+from addtree.oracle import optimal_cost_dp
 from addtree.planner import plan_general, plan_single_sign
 from addtree.tree import build_balanced, parse_tree, serialize
 
@@ -63,3 +65,62 @@ def test_builders_pause_gc(build, make_args, bad_args, error):
             assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+# id: (argv, exit code); "{mixed}" and "{small}" name input files.
+MAIN_CASES = {
+    "ok": (["plan", "--strategy", "critical", "{mixed}"], 0),
+    "usage": (["plan", "--strategy", "nonesuch", "{mixed}"], 1),
+    "invalid_input": (["plan", "--strategy", "huffman", "{mixed}"], 2),
+    "oracle_cap": (["oracle", "--cap", "3", "{small}"], 3),
+}
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("".join(f"{v}\n" for v in MIXED))
+    small = tmp_path / "small.txt"
+    small.write_text("1\n-2\n3\n4\n")
+    return {"mixed": str(mixed), "small": str(small)}
+
+
+def test_cli_main_runs_without_a_collection(input_files, capsys):
+    # The critical plan of 10^5 mixed values, its cost walk and its JSON
+    # rendering start no cyclic collection, from reading to printing.
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        argv = [a.format(**input_files) for a in MAIN_CASES["ok"][0]]
+        assert collections_during(main, argv) == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert '"strategy": "critical"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", MAIN_CASES.values(), ids=MAIN_CASES.keys())
+def test_cli_main_restores_the_gc_state(input_files, capsys, argv, code):
+    argv = [a.format(**input_files) for a in argv]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    capsys.readouterr()
+
+
+def test_oracle_tables_free_without_a_collection():
+    # The CLI runs with the GC paused, so a reference cycle around the
+    # DP's 2^n tables would hold them until it returns.
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = optimal_cost_dp([3, -5, 7, 2, -4, 6, 1, -8, 9, 11])
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert result.witness.value == 22

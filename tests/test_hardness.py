@@ -123,8 +123,11 @@ def test_file_roundtrip():
         parse_3par("15 1\n4 5\n")
     with pytest.raises(ValueError):
         parse_3par("")
-    with pytest.raises(ValueError, match="malformed 3-PARTITION file"):
+    with pytest.raises(ValueError, match="malformed 3-PARTITION file") as info:
         parse_3par("15 1\n4 5 six\n")
+    assert info.value.lineno == 2
+    with pytest.raises(ValueError, match="'K m' header"):
+        parse_3par("# only a comment\nx\n")
 
 
 @pytest.mark.parametrize(

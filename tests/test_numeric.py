@@ -72,6 +72,8 @@ literal_text = st.one_of(
         r"\A[+-]?[0-9\u0663]{0,6}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,3})?\Z"
     ),
     st.from_regex(r"\A[+-]?[0-9]{1,5}(_[0-9]{1,3})?(/[+-]?[0-9]{1,4})?\Z"),
+    # Ratios with either side empty, signed or non-ASCII.
+    st.from_regex(r"\A[+-]?[0-9\u0663]{0,4}/[+-]?[0-9\u0663]{0,4}\Z"),
 )
 
 
@@ -92,6 +94,15 @@ literal_text = st.one_of(
 @example(".")
 @example("1.2.3")
 @example("-0.0")
+@example("3/4")
+@example("+3/4")
+@example("-0/5")
+@example("1/0")
+@example("3/-4")
+@example("\u0663/\u0664")
+@example("1_0/3")
+@example("/4")
+@example("3/")
 def test_parse_value_matches_fraction_reference(text):
     # Keep exponents below the size cap, which the reference does not have.
     assume(not re.search(r"[eE][+-]?[0-9_]{4,}", text))
@@ -175,6 +186,41 @@ def test_parse_values_sets_the_bad_index(tokens, index):
     with pytest.raises(ParseError) as info:
         parse_values(tokens)
     assert info.value.index == index
+
+
+@pytest.mark.parametrize(
+    "token, parsed_by_fraction",
+    [
+        ("3/4", False),
+        ("-6/4", False),
+        ("+8/4", False),
+        ("\u0663/\u0664", False),
+        ("1_0/3", True),
+        ("3/-4", True),
+        ("1/2/3", True),
+        ("1.5/2", True),
+    ],
+)
+def test_plain_ratios_skip_the_string_parse(monkeypatch, token, parsed_by_fraction):
+    # A sign and decimal digits on both sides of one slash take two int()
+    # calls; every other ratio form goes through Fraction(str).
+    expected = parse_outcome(lambda ts: [parse_value(t) for t in ts], [token])
+    strings = []
+
+    class Counted(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                strings.append(numerator)
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(numeric, "Fraction", Counted)
+    assert parse_outcome(lambda ts: [parse_value(t) for t in ts], [token]) == expected
+    assert strings == ([token] if parsed_by_fraction else [])
+
+
+def test_a_zero_denominator_is_a_malformed_literal():
+    with pytest.raises(ParseError, match=r"^malformed value literal: '-3/0'$"):
+        parse_value("-3/0")
 
 
 def test_as_value_keeps_ints_and_fractions():
