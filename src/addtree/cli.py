@@ -211,16 +211,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-@tree.without_gc
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command and return its exit code. The cyclic GC stays paused
-    throughout: every structure a command builds is acyclic and is freed by
-    reference counting, so a collection would only scan the new tree. The
-    GC state is restored on return."""
+    """Run one command and return its exit code. The command itself runs
+    with the cyclic GC paused: every structure a command builds is acyclic
+    and is freed by reference counting, so a collection would only scan
+    the new tree. Parsing the arguments runs with the GC as it was (argparse
+    leaves reference cycles behind), and the GC state is restored on return."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return tree.without_gc(args.func)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

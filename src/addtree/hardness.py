@@ -210,13 +210,13 @@ def parse_3par(text: str) -> ThreePartitionInstance:
     A token that is not an integer raises ParseError with lineno set to
     its line, counted from 1.
     """
-    lines = uncommented_lines(text)
-    if len(" ".join(lines).split()) < 2:
+    rows = [line.split() for line in uncommented_lines(text)]
+    if sum(map(len, rows)) < 2:
         raise ValueError("3-PARTITION file needs a 'K m' header")
     values: List[int] = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, row in enumerate(rows, 1):
         try:
-            values.extend(map(int, line.split()))
+            values.extend(map(int, row))
         except ValueError as exc:
             error = ParseError(f"malformed 3-PARTITION file: {exc}")
             error.lineno = lineno

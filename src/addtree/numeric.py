@@ -45,10 +45,8 @@ def parse_value(text: str) -> Value:
     decimal, an optional sign and decimal digits on both sides of one dot
     (the whole part may be empty: "-.5"), becomes int(digits) / 10**k for k
     fractional digits, an int when that divides, without Fraction()'s
-    string parse. So does a plain ratio, an optional sign and decimal
-    digits on both sides of one slash ("-3/4"), by two int() calls. Every
-    other form goes through Fraction(); all routes give the value and
-    type Fraction() followed by as_value() gives.
+    string parse. Every other form goes through Fraction(); all routes
+    give the value and type Fraction() followed by as_value() gives.
 
     Literal size is capped by Python's int/str conversion limit
     (sys.get_int_max_str_digits(), 4300 by default; 0 turns it off): a
@@ -66,14 +64,6 @@ def parse_value(text: str) -> Value:
     if not dot:
         if whole.isdecimal():
             return int(token)
-        p, slash, q = whole.partition("/")
-        if slash and p.isdecimal() and q.isdecimal():
-            numerator, denominator = int(p), int(q)
-            if not denominator:
-                raise ParseError(f"malformed value literal: {token!r}")
-            if head[0] == "-":
-                numerator = -numerator
-            return as_value(Fraction(numerator, denominator))
     elif frac.isdecimal() and (not whole or whole.isdecimal()):
         return as_value(Fraction(int(head + frac), 10 ** len(frac)))
     if limit:

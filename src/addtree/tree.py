@@ -79,22 +79,15 @@ def cost(tree: AdditionTree) -> Value:
 
 
 def depth(tree: AdditionTree) -> int:
-    """Number of edges on the longest root-to-leaf path.
-
-    The same walk as cost: a leaf right child is as deep as its left
-    sibling, whose spine ends at least that deep, so it is never pushed.
-    """
+    """Number of edges on the longest root-to-leaf path."""
     best = 0
     stack = [(tree, 0)]
-    push = stack.append
     while stack:
         node, d = stack.pop()
-        while isinstance(node, Internal):
-            node, right, _ = node
-            d += 1
-            if isinstance(right, Internal):
-                push((right, d))
-        if d > best:
+        if isinstance(node, Internal):
+            stack.append((node.left, d + 1))
+            stack.append((node.right, d + 1))
+        elif d > best:
             best = d
     return best
 

@@ -1,10 +1,10 @@
-"""Differential tests: cost and depth against the walks they replaced.
+"""Differential tests: cost against the walk it replaced.
 
-The references visit every node, leaves included, through one stack of
-nodes; cost and depth follow each left spine and push only internal right
-children. Both must give the same value, and cost the same type, on trees
-from every strategy, with int and Fraction leaves, and on chains deeper
-than the call stack allows.
+The reference visits every node, leaves included, through one stack of
+nodes; cost follows each left spine and pushes only internal right
+children. Both must give the same value and type on trees from every
+strategy, with int and Fraction leaves, and on chains deeper than the call
+stack allows.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addtree.planner import plan
-from addtree.tree import Internal, Leaf, build_balanced, cost, depth
+from addtree.tree import Internal, Leaf, build_balanced, cost
 
 
 def reference_preorder(tree):
@@ -32,23 +32,9 @@ def reference_cost(tree):
     )
 
 
-def reference_depth(tree):
-    best = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, Internal):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-        elif d > best:
-            best = d
-    return best
-
-
-def assert_same_walks(tree):
+def assert_same_cost(tree):
     got, expected = cost(tree), reference_cost(tree)
     assert got == expected and type(got) is type(expected)
-    assert depth(tree) == reference_depth(tree)
 
 
 nonzero_ints = st.integers(min_value=-50, max_value=50).filter(bool)
@@ -64,7 +50,7 @@ value_lists = st.one_of(
 
 @settings(max_examples=60)
 @given(value_lists)
-def test_walks_match_reference_for_every_strategy(x):
+def test_cost_matches_reference_for_every_strategy(x):
     single_sign = all(v > 0 for v in x) or all(v < 0 for v in x)
     strategies = ["balanced", "huffman", "grouped"] if single_sign else [
         "balanced",
@@ -73,22 +59,21 @@ def test_walks_match_reference_for_every_strategy(x):
     if len(x) <= 8:
         strategies.append("optimal")
     for strategy in strategies:
-        assert_same_walks(plan(x, strategy).tree)
+        assert_same_cost(plan(x, strategy).tree)
 
 
-def test_walks_on_a_lone_leaf_and_integral_fraction_sums():
-    assert_same_walks(Leaf(5))
-    assert_same_walks(Leaf(Fraction(1, 3)))
+def test_cost_on_a_lone_leaf_and_integral_fraction_sums():
+    assert_same_cost(Leaf(5))
+    assert_same_cost(Leaf(Fraction(1, 3)))
     # Two halves sum to the Fraction 1, which cost must keep a Fraction.
-    assert_same_walks(build_balanced([Fraction(1, 2)] * 4))
+    assert_same_cost(build_balanced([Fraction(1, 2)] * 4))
 
 
-def test_walks_match_reference_on_deep_chains():
+def test_cost_matches_reference_on_deep_chains():
     left = right = zigzag = Leaf(1)
     for i in range(1, 10**5):
         left = Internal(left, Leaf(i))
         right = Internal(Leaf(-i), right)
         zigzag = Internal(zigzag, Leaf(i)) if i % 2 else Internal(Leaf(i), zigzag)
     for chain in (left, right, zigzag):
-        assert depth(chain) == 10**5 - 1
-        assert_same_walks(chain)
+        assert_same_cost(chain)

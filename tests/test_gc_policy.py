@@ -1,10 +1,12 @@
-"""Every public builder of an O(n)-node tree, and the command line's main,
-runs with the cyclic GC paused and leaves the GC state as it found it."""
+"""Every public builder of an O(n)-node tree, and each command the command
+line's main dispatches, runs with the cyclic GC paused and leaves the GC
+state as it found it."""
 
 import gc
 
 import pytest
 
+from addtree import cli
 from addtree.cli import main
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.matching import minimum_critical_matching, split_by_sign
@@ -85,16 +87,36 @@ def input_files(tmp_path):
     return {"mixed": str(mixed), "small": str(small)}
 
 
-def test_cli_main_runs_without_a_collection(input_files, capsys):
+def test_cli_command_runs_without_a_collection(input_files, capsys, monkeypatch):
     # The critical plan of 10^5 mixed values, its cost walk and its JSON
     # rendering start no cyclic collection, from reading to printing.
+    # Argument parsing runs before the pause and may collect.
+    running, gc_on_entry, starts = [False], [], []
+    command = cli.cmd_plan
+
+    def traced(args):
+        gc_on_entry.append(gc.isenabled())
+        running[0] = True
+        try:
+            return command(args)
+        finally:
+            running[0] = False
+
+    def hook(phase, info):
+        if phase == "start" and running[0]:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(cli, "cmd_plan", traced)
     was_enabled = gc.isenabled()
     gc.enable()
+    gc.callbacks.append(hook)
     try:
         argv = [a.format(**input_files) for a in MAIN_CASES["ok"][0]]
-        assert collections_during(main, argv) == 0
+        assert main(argv) == 0
     finally:
+        gc.callbacks.remove(hook)
         gc.enable() if was_enabled else gc.disable()
+    assert gc_on_entry == [False] and starts == []
     assert '"strategy": "critical"' in capsys.readouterr().out
 
 

@@ -188,41 +188,6 @@ def test_parse_values_sets_the_bad_index(tokens, index):
     assert info.value.index == index
 
 
-@pytest.mark.parametrize(
-    "token, parsed_by_fraction",
-    [
-        ("3/4", False),
-        ("-6/4", False),
-        ("+8/4", False),
-        ("\u0663/\u0664", False),
-        ("1_0/3", True),
-        ("3/-4", True),
-        ("1/2/3", True),
-        ("1.5/2", True),
-    ],
-)
-def test_plain_ratios_skip_the_string_parse(monkeypatch, token, parsed_by_fraction):
-    # A sign and decimal digits on both sides of one slash take two int()
-    # calls; every other ratio form goes through Fraction(str).
-    expected = parse_outcome(lambda ts: [parse_value(t) for t in ts], [token])
-    strings = []
-
-    class Counted(Fraction):
-        def __new__(cls, numerator=0, denominator=None):
-            if isinstance(numerator, str):
-                strings.append(numerator)
-            return Fraction(numerator, denominator)
-
-    monkeypatch.setattr(numeric, "Fraction", Counted)
-    assert parse_outcome(lambda ts: [parse_value(t) for t in ts], [token]) == expected
-    assert strings == ([token] if parsed_by_fraction else [])
-
-
-def test_a_zero_denominator_is_a_malformed_literal():
-    with pytest.raises(ParseError, match=r"^malformed value literal: '-3/0'$"):
-        parse_value("-3/0")
-
-
 def test_as_value_keeps_ints_and_fractions():
     f = Fraction(3, 7)
     assert as_value(f) is f
