@@ -5,7 +5,7 @@ exponential exact oracle for small instances, a 3-PARTITION-based
 adversarial instance generator, and a reduced-precision simulator.
 """
 
-from .fpsim import Precision, SimulationResult, fl_add, round_to_precision, simulate
+from .fpsim import Precision, SimulationResult, round_to_precision, simulate
 from .hardness import (
     ReductionInstance,
     ThreePartitionInstance,
@@ -18,21 +18,10 @@ from .hardness import (
     validate_3par,
 )
 from .huffman import build_huffman, build_huffman_sorted
-from .matching import (
-    CriticalMatching,
-    brute_force_matching,
-    minimum_critical_matching,
-    split_by_sign,
-)
+from .matching import CriticalMatching, minimum_critical_matching, split_by_sign
 from .numeric import ParseError, Value, format_value, parse_value
-from .oracle import CapExceededError, OptimalResult, enumerate_trees, optimal_cost_dp
-from .planner import (
-    PlanReport,
-    default_group_parameter,
-    plan,
-    plan_general,
-    plan_single_sign,
-)
+from .oracle import CapExceededError, OptimalResult, optimal_cost_dp
+from .planner import PlanReport, default_group_parameter, plan, plan_general, plan_single_sign
 from .tree import (
     AdditionTree,
     Internal,
@@ -59,7 +48,6 @@ __all__ = [
     "ThreePartitionInstance",
     "Value",
     "amplify",
-    "brute_force_matching",
     "build_balanced",
     "build_huffman",
     "build_huffman_sorted",
@@ -67,9 +55,7 @@ __all__ = [
     "cost",
     "default_group_parameter",
     "depth",
-    "enumerate_trees",
     "find_triple_partition",
-    "fl_add",
     "format_value",
     "minimum_critical_matching",
     "optimal_cost_dp",

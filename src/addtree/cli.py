@@ -152,16 +152,16 @@ def cmd_simulate(args) -> int:
     values = read_values(args.input)
     prec = fpsim.Precision(args.precision)
     report = planner.plan(values, args.strategy, t=args.t, presorted=args.sorted)
+    result = fpsim.simulate(report.tree, prec)
     try:
-        result = fpsim.simulate(report.tree, prec)
+        payload = result.to_json_dict()
     except OverflowError as exc:
         # With input literals capped by sys.get_int_max_str_digits(), only
         # a shift by the precision can overflow.
         raise ValueError(f"--precision {args.precision} is too large: {exc}") from None
-    payload = result.to_json_dict()
     payload["strategy"] = args.strategy
     payload["precision"] = args.precision
-    payload["cost"] = format_value(result.bound / prec.alpha)
+    payload["cost"] = format_value(result.cost)
     _print_json(payload)
     return 0
 

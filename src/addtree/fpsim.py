@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import get_int_max_str_digits, maxsize
 
-from .numeric import Value, as_value, format_value
+from .numeric import Value, as_value, digit_limit_error, format_value
 from .tree import AdditionTree, Internal
 
 
@@ -79,35 +80,34 @@ def round_to_precision(v: Value, prec: Precision) -> Value:
     return _value(*_round(m, e, p))
 
 
-def is_representable(v: Value, prec: Precision) -> bool:
-    return round_to_precision(v, prec) == v
-
-
-def fl_add(x: Value, y: Value, prec: Precision) -> Value:
-    """One rounded addition; |fl(x+y) - (x+y)| <= alpha |x+y|."""
-    for operand in (x, y):
-        if not is_representable(operand, prec):
-            raise ValueError(
-                f"operand {operand} is not representable at "
-                f"{prec.significand_bits} significand bits"
-            )
-    return round_to_precision(x + y, prec)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
-    """A simulated tree's rounded sum, exact sum, their gap, and the bound alpha * C(T)."""
+    """A simulated tree's rounded sum, exact sum, their gap, cost C(T) and precision."""
 
     computed: Value
     true_sum: Value
     abs_error: Value
-    bound: Value
+    cost: Value
+    precision: Precision
+
+    @property
+    def bound(self) -> Value:
+        """alpha * C(T); 2^p is built only for a nonzero cost."""
+        return as_value(self.precision.alpha * self.cost) if self.cost else 0
 
     @property
     def ratio(self) -> Value:
         return 0 if self.bound == 0 else as_value(Fraction(self.abs_error) / self.bound)
 
     def to_json_dict(self) -> dict:
+        """Every value through format_value. A nonzero bound has t >= p -
+        bits(numerator of C(T)) fractional bits, worth over 2^(2t): too long
+        to print once 6t >= 10 * limit, format_value's test, made here before
+        2^p is built (a shift by more than sys.maxsize bits fails at once)."""
+        p, limit = self.precision.significand_bits, get_int_max_str_digits()
+        t = p - self.cost.numerator.bit_length()
+        if self.cost and limit and p <= maxsize and 3 * t >= 5 * limit:
+            raise digit_limit_error()
         return {
             "computed": format_value(self.computed),
             "true_sum": format_value(self.true_sum),
@@ -176,5 +176,6 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
         computed=computed,
         true_sum=true_sum,
         abs_error=as_value(abs(computed - true_sum)),
-        bound=_value(cost_m, cost_e - p),
+        cost=_value(cost_m, cost_e),
+        precision=prec,
     )

@@ -227,11 +227,6 @@ def parse_3par(text: str) -> ThreePartitionInstance:
     return ThreePartitionInstance(b=tuple(b), k=k)
 
 
-def format_3par(instance: ThreePartitionInstance) -> str:
-    m = len(instance.b) // 3
-    return f"{instance.k} {m}\n" + " ".join(str(v) for v in instance.b) + "\n"
-
-
 def reduction_sidecar(reduction: ReductionInstance) -> dict:
     """JSON-ready parameter summary emitted next to the generated X file."""
     return {

@@ -11,11 +11,10 @@ measured against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import islice
 from typing import Sequence
 
 from .numeric import Value, exact_sorted
-from .oracle import CapExceededError
 from .tree import without_gc
 
 
@@ -84,28 +83,3 @@ def split_by_sign(x: Sequence[Value]) -> tuple:
     if len(positives) + len(negatives) != len(x):
         raise ValueError("input values must be nonzero")
     return positives, negatives
-
-
-def brute_force_matching(x: Sequence[Value]) -> Value:
-    """Minimum Pi + Delta over every critical matching, by enumeration.
-
-    Test oracle only; factorial-scale, capped at |x| <= 12.
-    """
-    if len(x) > 12:
-        raise CapExceededError(f"brute-force matching capped at 12 elements, got {len(x)}")
-    positives = [v for v in x if v > 0]
-    negatives = [v for v in x if v < 0]
-    if any(v == 0 for v in x):
-        raise ValueError("input values must be nonzero")
-    total_abs = sum(abs(v) for v in x)
-    best = total_abs  # empty matching: Pi = 0, Delta = total
-    for k in range(1, min(len(positives), len(negatives)) + 1):
-        for ps in combinations(positives, k):
-            for ns in combinations(negatives, k):
-                matched_abs = sum(ps) - sum(ns)
-                for perm in permutations(ns):
-                    pi = sum(abs(a + b) for a, b in zip(ps, perm))
-                    delta = total_abs - matched_abs
-                    if pi + delta < best:
-                        best = pi + delta
-    return best

@@ -87,8 +87,8 @@ def parse_values(tokens: List[str]) -> List[Value]:
     """[parse_value(t) for t in tokens], with all-int input converted in one
     C-level int() pass.
 
-    int() differs from parse_value only on a literal with "_" (Fraction()
-    rejects those before Python 3.11) or one longer than the size cap
+    int() may differ from parse_value only on a literal with "_", whose
+    grammar each defines on its own, or on one longer than the size cap
     (int() counts digits, not characters: it takes "+" followed by 4300
     ones). Without either, int() accepts exactly the tokens that
     parse_value turns into an int, with the same value. So the int() pass
@@ -166,10 +166,15 @@ def format_value(v: Value) -> str:
         sign = "-" if num < 0 else ""
         return f"{sign}{whole}.{str(frac).zfill(digits)}"
     except ValueError:  # from int-to-str conversion or the check above
-        raise ValueError(
-            "a computed result exceeds the int/str conversion limit of "
-            f"{get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
-        ) from None
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> ValueError:
+    """The error format_value raises for a result too long to print."""
+    return ValueError(
+        "a computed result exceeds the int/str conversion limit of "
+        f"{get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+    )
 
 
 def check_ascending(x: Sequence[Value]) -> None:

@@ -9,9 +9,6 @@ stored: the witness tree is rebuilt from the top by finding, for each of
 its n - 1 internal nodes, a split whose parts' f values sum to
 f(S) - |sum(S)|; of those, the one whose part A (the part holding S's
 lowest index) has the smallest bitmask is taken.
-
-A second, independent oracle enumerates every distinct addition tree
-((2n-3)!! of them) for cross-checking the DP on tiny inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .numeric import Value, as_value
 from .tree import AdditionTree, Internal, Leaf
@@ -103,47 +100,3 @@ def _rebuild(mask: int, x: Sequence[Value], f: list, sums: list) -> AdditionTree
     while f[sub | lsb] + f[rest ^ sub] != target:
         sub = (sub - rest) & rest
     return Internal(_rebuild(sub | lsb, x, f, sums), _rebuild(rest ^ sub, x, f, sums))
-
-
-def double_factorial_tree_count(n: int) -> int:
-    """(2n-3)!!, the number of distinct addition trees over n labeled leaves."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 1
-    for k in range(3, 2 * n - 2, 2):
-        count *= k
-    return count
-
-
-def enumerate_trees(x: Sequence[Value]) -> Iterator[AdditionTree]:
-    """Yield every distinct addition tree over x exactly once.
-
-    Children are unordered, so each unordered shape-with-assignment appears
-    once; duplicate input values are treated as distinguishable by index.
-    Capped at 8 elements.
-    """
-    n = len(x)
-    if n == 0:
-        raise ValueError("cannot enumerate trees over an empty multiset")
-    if n > 8:
-        raise CapExceededError(f"tree enumeration capped at 8 elements, got {n}")
-
-    def gen(mask: int) -> Iterator[AdditionTree]:
-        if mask & (mask - 1) == 0:
-            yield Leaf(x[mask.bit_length() - 1])
-            return
-        lsb = mask & -mask
-        rest = mask ^ lsb
-        # Each unordered root split once: the left part holds the lowest bit.
-        sub = rest
-        while True:
-            a = sub | lsb
-            if a != mask:
-                for left in gen(a):
-                    for right in gen(mask ^ a):
-                        yield Internal(left, right)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-
-    yield from gen((1 << n) - 1)

@@ -54,11 +54,6 @@ def nodes(tree: AdditionTree) -> Iterator[AdditionTree]:
             stack.append(node.left)
 
 
-def leaf_values(tree: AdditionTree) -> list:
-    """Leaf values in left-to-right order."""
-    return [node.value for node in nodes(tree) if isinstance(node, Leaf)]
-
-
 def cost(tree: AdditionTree) -> Value:
     """Sum of |value| over internal nodes; a lone leaf costs 0.
 

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from addtree.fpsim import Precision, fl_add, simulate
+from addtree.fpsim import Precision, simulate
 from addtree.hardness import (
     ThreePartitionInstance,
     find_triple_partition,
@@ -17,10 +17,11 @@ from addtree.hardness import (
     reduce_to_addition_tree,
 )
 from addtree.huffman import build_huffman, build_huffman_sorted
-from addtree.matching import brute_force_matching, minimum_critical_matching, split_by_sign
-from addtree.oracle import enumerate_trees, optimal_cost_dp
+from addtree.matching import minimum_critical_matching, split_by_sign
+from addtree.oracle import optimal_cost_dp
 from addtree.planner import default_group_parameter, plan_general, plan_single_sign
 from addtree.tree import build_balanced, cost
+from checkers import brute_force_matching, enumerate_trees, fl_add
 
 
 def report(criterion, ok, detail=""):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -502,12 +503,42 @@ VALUES = b"1\n-2\n"
 INSTANCE = b"15 1\n4 5 6\n"
 
 
-def run_cli(*argv):
+def run_cli(*argv, **options):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "addtree.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, **options,
     )
+
+
+def limit_address_space():
+    # A child that builds 2^p for p = 3 * 10^10 (3.75 GB) then gets a
+    # MemoryError at once instead of exhausting the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "text, code, err",
+    [
+        ("1\n0.5\n3\n", 2, (
+            "invalid input: a computed result exceeds the int/str conversion limit "
+            "of 4300 digits (sys.get_int_max_str_digits())\n"
+        )),
+        ("1\n-1\n2\n-2\n", 0, ""),  # every internal node is 0: so is the bound
+    ],
+    ids=["nonzero-cost", "zero-cost"],
+)
+def test_simulate_precision_3e10_builds_no_power_of_two(tmp_path, text, code, err):
+    path = write(tmp_path, "values.txt", text)
+    start = time.perf_counter()
+    result = run_cli(
+        "simulate", "--precision", str(3 * 10**10), path, preexec_fn=limit_address_space
+    )
+    assert time.perf_counter() - start < 5
+    assert (result.returncode, result.stderr) == (code, err)
+    if code == 0:
+        payload = json.loads(result.stdout)
+        assert (payload["bound"], payload["ratio"], payload["cost"]) == ("0", "0", "0")
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree.fpsim import (
-    Precision,
-    fl_add,
-    is_representable,
-    round_to_precision,
-    simulate,
-)
+from addtree.fpsim import Precision, round_to_precision, simulate
 from addtree.planner import plan
 from addtree.tree import Internal, Leaf, build_balanced, depth
+from checkers import fl_add, is_representable
 
 P2, P3 = Precision(2), Precision(3)
 

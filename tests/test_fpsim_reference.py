@@ -3,8 +3,9 @@ it replaced.
 
 The reference rounds every node sum as a Fraction, by exact division, and
 takes the bound from a second cost(tree) walk. simulate, round_to_precision,
-is_representable and fl_add must agree with it exactly: the same values of
-the same types, or the same ValueError message.
+and the test-only is_representable and fl_add built on it (tests/checkers.py)
+must agree with it exactly: the same values of the same types, or the same
+ValueError message.
 """
 
 from fractions import Fraction
@@ -12,16 +13,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addtree.fpsim import (
-    Precision,
-    fl_add,
-    is_representable,
-    round_to_precision,
-    simulate,
-)
+from addtree.fpsim import Precision, round_to_precision, simulate
 from addtree.numeric import as_value, format_value
 from addtree.planner import STRATEGIES, plan
 from addtree.tree import Internal, cost
+from checkers import fl_add, is_representable
 
 
 def reference_round(v, prec):

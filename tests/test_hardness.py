@@ -8,7 +8,6 @@ from addtree.hardness import (
     amplify,
     check_partition_witness,
     find_triple_partition,
-    format_3par,
     parse_3par,
     perturbation_bounds,
     random_3par_instance,
@@ -17,6 +16,7 @@ from addtree.hardness import (
     validate_3par,
 )
 from addtree.oracle import optimal_cost_dp
+from checkers import format_3par
 
 POS = ThreePartitionInstance(b=(4, 5, 6), k=15)
 NEG = ThreePartitionInstance(b=(7, 7, 7, 9, 9, 9), k=24)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.oracle import optimal_cost_dp
-from addtree.tree import Leaf, cost, leaf_values, serialize
+from addtree.tree import Leaf, cost, serialize
+from checkers import leaf_values
 
 positive_lists = st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=9)
 

@@ -1,12 +1,13 @@
 """Static checks on the package source: no module imports a name it never
 uses or imports inside a function, every module-level function or class is
-named somewhere else, and every name in addtree.__all__ resolves, each
-listed once, and has a docstring of its own if it is a function or class.
+named somewhere else and, unless it is public, by code that runs outside
+the tests, and every name in addtree.__all__ resolves, each listed once,
+and has a docstring of its own if it is a function or class.
 
 A refactor that deletes the last use of an import (a removed class, a call
 routed through another module) leaves the import behind, and one that
 deletes the last caller leaves the callee behind; this catches both
-without a linter.
+without a linter. A checker that only tests call belongs under tests/.
 """
 
 import ast
@@ -19,10 +20,16 @@ import addtree
 
 MODULES = sorted(Path(addtree.__file__).parent.glob("*.py"))
 ROOT = Path(addtree.__file__).parents[2]
+
+
+def python_files(*tops):
+    return sorted(path for top in tops for path in (ROOT / top).rglob("*.py"))
+
+
 # Every Python file that may use the package: sources, tests, demos, bench.
-USERS = sorted(
-    path for top in ("src", "tests", "demos", "bench") for path in (ROOT / top).rglob("*.py")
-)
+USERS = python_files("src", "tests", "demos", "bench")
+# The files that run the package outside its tests.
+RUNNERS = python_files("src", "demos", "bench")
 
 
 def imported_names(module: ast.Module):
@@ -105,16 +112,27 @@ def names_in(node: ast.AST) -> set:
     return names
 
 
-def test_every_module_level_definition_is_named_elsewhere():
-    # Each top-level statement of each file is one unit; a definition
-    # counts as used only if some other unit names it.
-    bodies = {path: ast.parse(path.read_text(), filename=str(path)).body for path in USERS}
+def unnamed_definitions(users) -> list:
+    """"module:name" for each module-level function or class of the package
+    that no top-level statement of the users names, its own aside."""
+    bodies = {path: ast.parse(path.read_text(), filename=str(path)).body for path in users}
     named = [(stmt, names_in(stmt)) for body in bodies.values() for stmt in body]
-    unused = [
+    return [
         f"{path.name}:{stmt.name}"
         for path in MODULES
         for stmt in bodies[path]
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not any(stmt.name in names for unit, names in named if unit is not stmt)
     ]
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    unused = unnamed_definitions(USERS)
     assert not unused, f"module-level definitions no file names: {unused}"
+
+
+def test_every_private_definition_runs_outside_the_tests():
+    # A public name is named by the imports of addtree/__init__.py; any
+    # other definition must serve src/, demos/ or bench/, not tests alone.
+    test_only = unnamed_definitions(RUNNERS)
+    assert not test_only, f"definitions only tests name (move them to tests/): {test_only}"

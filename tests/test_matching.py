@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addtree.matching import (
-    brute_force_matching,
-    minimum_critical_matching,
-    split_by_sign,
-)
-from addtree.oracle import CapExceededError, enumerate_trees
+from addtree.matching import minimum_critical_matching, split_by_sign
+from addtree.oracle import CapExceededError
 from addtree.tree import cost
+from checkers import brute_force_matching, enumerate_trees
 
 
 def test_equal_sides():

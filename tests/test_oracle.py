@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from addtree.huffman import build_huffman
 from addtree.matching import minimum_critical_matching, split_by_sign
-from addtree.oracle import (
-    CapExceededError,
-    double_factorial_tree_count,
-    enumerate_trees,
-    optimal_cost_dp,
-)
-from addtree.tree import cost, leaf_values, serialize
+from addtree.oracle import CapExceededError, optimal_cost_dp
+from addtree.tree import cost, serialize
+from checkers import double_factorial_tree_count, enumerate_trees, leaf_values
 
 
 def test_dp_examples():

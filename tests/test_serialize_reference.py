@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from addtree.numeric import format_value
 from addtree.planner import plan
-from addtree.tree import Internal, Leaf, cost, leaf_values, parse_tree, serialize
+from addtree.tree import Internal, Leaf, cost, parse_tree, serialize
+from checkers import leaf_values
 
 
 def reference_serialize(tree):

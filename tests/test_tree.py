@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from addtree.fpsim import Precision, simulate
 from addtree.numeric import ParseError
 from addtree.planner import plan
 from addtree.tree import (
@@ -12,11 +13,11 @@ from addtree.tree import (
     build_balanced,
     cost,
     depth,
-    leaf_values,
     nodes,
     parse_tree,
     serialize,
 )
+from checkers import leaf_values
 
 values_lists = st.lists(
     st.integers(min_value=-100, max_value=100).filter(bool), min_size=1, max_size=40
@@ -138,6 +139,16 @@ def test_parse_deep_sexpr_and_errors():
     deep = "(" * 2000 + "1" + " 1)" * 2000
     tree = parse_tree(deep)
     assert depth(tree) == 2000 and tree.value == 2001
+    # Left- and right-nested chains of 10^5 ones: every walker is iterative.
+    n = 10**5
+    chain_cost = (n + 1) * (n + 2) // 2 - 1  # internal values 2, 3, ..., n + 1
+    for text in ("(" * n + "1" + " 1)" * n, "(1 " * n + "1" + ")" * n):
+        tree = parse_tree(text)
+        assert depth(tree) == n and tree.value == n + 1
+        assert sum(1 for _ in nodes(tree)) == 2 * n + 1
+        assert serialize(tree) == text and cost(tree) == chain_cost
+        sim = simulate(tree, Precision(24))
+        assert (sim.computed, sim.abs_error, sim.cost) == (n + 1, 0, chain_cost)
     for text, pos in [
         ("(" * 2000 + "1", 2001),
         ("(1 2", 4),
