@@ -103,10 +103,14 @@ class SimulationResult:
         """Every value through format_value. A nonzero bound has t >= p -
         bits(numerator of C(T)) fractional bits, worth over 2^(2t): too long
         to print once 6t >= 10 * limit, format_value's test, made here before
-        2^p is built (a shift by more than sys.maxsize bits fails at once)."""
+        2^p is built. Past sys.maxsize, 1 << p fails at once: with
+        OverflowError from about p = 2^66 on, with MemoryError below that;
+        every such p raises the OverflowError here."""
         p, limit = self.precision.significand_bits, get_int_max_str_digits()
         t = p - self.cost.numerator.bit_length()
-        if self.cost and limit and p <= maxsize and 3 * t >= 5 * limit:
+        if self.cost and p > maxsize:
+            raise OverflowError("too many digits in integer")
+        if self.cost and limit and 3 * t >= 5 * limit:
             raise digit_limit_error()
         return {
             "computed": format_value(self.computed),

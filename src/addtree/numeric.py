@@ -87,20 +87,17 @@ def parse_values(tokens: List[str]) -> List[Value]:
     """[parse_value(t) for t in tokens], with all-int input converted in one
     C-level int() pass.
 
-    int() may differ from parse_value only on a literal with "_", whose
-    grammar each defines on its own, or on one longer than the size cap
-    (int() counts digits, not characters: it takes "+" followed by 4300
-    ones). Without either, int() accepts exactly the tokens that
-    parse_value turns into an int, with the same value. So the int() pass
-    runs only then; from the first token it rejects on, the tokens go
-    through parse_value, and a bad one raises its ParseError with index
-    set to that token's position in tokens.
+    Wherever int() accepts a token, parse_value gives the same value and
+    type, "_" separators included, except on a token longer than the size
+    cap, which int() may still take, as it counts digits, not characters
+    ("+" followed by 4300 ones).
+    So the int() pass runs unless some token is that long; from the first
+    token it rejects on, the tokens go through parse_value, and a bad one
+    raises its ParseError with index set to that token's position in tokens.
     """
     values: List[Value] = []
     limit = get_int_max_str_digits()
-    if "_" not in "".join(tokens) and (
-        not limit or max(map(len, tokens), default=0) <= limit
-    ):
+    if not limit or max(map(len, tokens), default=0) <= limit:
         try:
             values.extend(map(int, tokens))
             return values

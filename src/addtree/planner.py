@@ -134,11 +134,10 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
     negative = x[0] < 0
     # Any width above len(x) gives one group; capping t keeps 1 << t small.
     width = 1 << min(t, len(x).bit_length())
-    balanced = build_balanced.__wrapped__  # the GC is already paused here
     keyed = []  # (group max magnitude, group tree)
     for i in range(0, len(x), width):
         group = x[i : i + width]
-        keyed.append((-min(group) if negative else max(group), balanced(group)))
+        keyed.append((-min(group) if negative else max(group), build_balanced(group)))
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
     keyed.sort(key=itemgetter(0))
@@ -192,9 +191,7 @@ def plan(
         if n >= 2 and _one_sign(x):
             guarantee = _ceil_log2(n)
     elif strategy == "huffman":
-        if not _one_sign(x):
-            raise ValueError("huffman strategy requires single-sign input")
-        tree = build_huffman(x)
+        tree = build_huffman(x)  # rejects mixed signs at the head of its sort
         guarantee = 1
     elif strategy == "critical":
         tree = plan_general(x)

@@ -89,8 +89,7 @@ def depth(tree: AdditionTree) -> int:
 
 def without_gc(fn):
     """Decorator: run fn with the cyclic GC paused. Trees are acyclic, so
-    collections in the middle of an O(n) build are pure overhead; the
-    undecorated body stays reachable as fn.__wrapped__.
+    collections in the middle of an O(n) build are pure overhead.
 
     try/finally on purpose: a context manager allocates right after
     gc.enable(), which starts a collection over every node just built.

@@ -49,6 +49,19 @@ def test_plan_strategy_mismatch_exit_2(tmp_path, capsys):
     assert "mixed" in err
 
 
+@pytest.mark.parametrize("x, head", [([1, -2], -2), ([-1, 2], 2)])
+def test_plan_huffman_mixed_sign_names_the_sort_head(tmp_path, capsys, x, head):
+    # build_huffman's own check rejects mixed signs: the head of its sort,
+    # the value nearest zero in merge order, has the wrong sign.
+    message = f"Huffman construction requires nonzero values of one sign, got {head}"
+    with pytest.raises(ValueError) as info:
+        planner.plan(x, "huffman")
+    assert str(info.value) == message
+    path = write(tmp_path, "mixed.txt", "".join(f"{v}\n" for v in x))
+    code, out, err = run(capsys, "plan", "--strategy", "huffman", path)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
 def test_plan_grouped(data_file, capsys):
     code, out, _ = run(capsys, "plan", "--strategy", "grouped", "--t", "1", data_file)
     assert code == 0
@@ -539,6 +552,17 @@ def test_simulate_precision_3e10_builds_no_power_of_two(tmp_path, text, code, er
     if code == 0:
         payload = json.loads(result.stdout)
         assert (payload["bound"], payload["ratio"], payload["cost"]) == ("0", "0", "0")
+
+
+@pytest.mark.parametrize("p", [2**63, 2**64], ids=["2^63", "2^64"])
+def test_simulate_precision_past_maxsize_names_the_option(tmp_path, p):
+    # Above sys.maxsize and below about 2^66, 1 << p fails in the allocator
+    # with MemoryError; the message is the one 2^70 gets from OverflowError.
+    path = write(tmp_path, "three.txt", "1\n0.5\n3\n")
+    result = run_cli("simulate", "--precision", str(p), path, preexec_fn=limit_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"invalid input: --precision {p} is too large: too many digits in integer\n"
+    )
 
 
 @pytest.mark.parametrize(

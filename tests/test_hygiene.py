@@ -1,8 +1,9 @@
 """Static checks on the package source: no module imports a name it never
 uses or imports inside a function, every module-level function or class is
 named somewhere else and, unless it is public, by code that runs outside
-the tests, and every name in addtree.__all__ resolves, each listed once,
-and has a docstring of its own if it is a function or class.
+the tests, every name in addtree.__all__ resolves, each listed once,
+and has a docstring of its own if it is a function or class, and every
+console script that pyproject.toml declares names a callable.
 
 A refactor that deletes the last use of an import (a removed class, a call
 routed through another module) leaves the import behind, and one that
@@ -11,7 +12,9 @@ without a linter. A checker that only tests call belongs under tests/.
 """
 
 import ast
+import importlib
 import inspect
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,17 @@ def test_every_private_definition_runs_outside_the_tests():
     # other definition must serve src/, demos/ or bench/, not tests alone.
     test_only = unnamed_definitions(RUNNERS)
     assert not test_only, f"definitions only tests name (move them to tests/): {test_only}"
+
+
+def test_console_scripts_resolve_to_callables():
+    # Installing the package writes one launcher per [project.scripts]
+    # entry; a renamed module or function would only fail when it runs.
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"console script {name} = {target!r} is not callable"

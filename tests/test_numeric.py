@@ -149,15 +149,15 @@ def test_parse_values_matches_parse_value(tokens):
         (["1", "-22", "+333", "\u0664"], []),
         (["1", "-22", "2.5", "7"], ["2.5", "7"]),
         (["2.5", "7"], ["2.5", "7"]),
-        (["1", "-22", "1_000"], ["1", "-22", "1_000"]),
+        (["1", "-22", "1_000"], []),
         (["1", "+" + "2" * 4300], ["1", "+" + "2" * 4300]),
         (["1", "-" + "2" * 4299], []),
     ],
 )
 def test_parse_values_route(monkeypatch, tokens, per_token):
-    # int() converts all-int input, and the ints before the first token it
-    # rejects; anything int() may disagree on goes through parse_value
-    # token by token.
+    # int() converts all-int input, "_" separators included, and the ints
+    # before the first token it rejects; a token over the length cap, which
+    # int() may still take, sends every token through parse_value.
     calls = []
 
     def counted(token):
@@ -168,6 +168,26 @@ def test_parse_values_route(monkeypatch, tokens, per_token):
     monkeypatch.setattr(numeric, "parse_value", counted)
     assert parse_outcome(parse_values, tokens) == expected
     assert calls == per_token
+
+
+def test_int_and_parse_value_agree_wherever_int_accepts():
+    # Every token of up to 5 characters over digits, "_", signs, spaces, an
+    # exponent letter, a superscript and non-ASCII digits: parse_values'
+    # int() pass is exact only if no token int() takes parses otherwise.
+    alphabet = ["0", "7", "_", "+", "-", "\u0661", " ", "e", "\u00b2", "\uff11"]
+    tokens = [""]
+    checked = 0
+    for _ in range(5):
+        tokens = [t + c for t in tokens for c in alphabet]
+        for token in tokens:
+            try:
+                expected = int(token)
+            except ValueError:
+                continue
+            value = parse_value(token)
+            assert (value, type(value)) == (expected, int), token
+            checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize(

@@ -152,7 +152,7 @@ def test_plan_dispatch():
         (lambda: plan([1, 2], "critical", alpha=1), "alpha must satisfy"),
         (lambda: plan([1, 2], "huffman", alpha=Fraction(-1, 2)), "got -1/2"),
         (lambda: plan([1, 2], "critical"), "critical strategy requires mixed-sign"),
-        (lambda: plan([1, -2], "huffman"), "huffman strategy requires single-sign"),
+        (lambda: plan([1, -2], "huffman"), "nonzero values of one sign, got -2"),
         (lambda: plan([1, -2], "grouped", t=0), "grouped strategy requires single"),
         (lambda: plan([1, 2], "grouped", t=0), "group parameter t must be >= 1"),
         (lambda: plan_general([]), "input multiset is empty"),
