@@ -4,7 +4,8 @@ Input files are UTF-8 (a leading byte-order mark is dropped) and carry one
 value per line; '#' starts a comment and blank lines are ignored. Lines end
 at \n, \r\n or \r. Reports are JSON on stdout with deterministic field
 order. Exit codes: 0 success, 1 usage error, 2 invalid input (an unreadable
-or undecodable file, an output file `reduce` cannot write, input too large
+or undecodable file, an output file `reduce` cannot write, a stdout
+closed before the report is written, input too large
 to process: MemoryError or RecursionError, a number too large for an int
 operation: OverflowError, such as a `simulate --precision` too large to
 shift by, whose message names the option, or a result too long to print
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import compress, count, islice
 from pathlib import Path
@@ -89,7 +91,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_plan(args) -> int:
     values = read_values(args.input)
-    alpha = parse_value(args.alpha) if args.alpha else None
+    alpha = None if args.alpha is None else parse_value(args.alpha)
     report = planner.plan(
         values,
         args.strategy,
@@ -220,7 +222,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return tree.without_gc(args.func)(args)
+        code = tree.without_gc(args.func)(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # Nobody reads stdout any more. Point it at devnull so that the
+        # flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"invalid input: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,8 @@ import gc
 import re
 from collections import namedtuple
 from functools import wraps
-from typing import Iterator, Sequence, Union
+from operator import itemgetter
+from typing import Iterator, List, Sequence, Union
 
 from .numeric import ParseError, Value, format_value, parse_value
 
@@ -54,37 +55,24 @@ def nodes(tree: AdditionTree) -> Iterator[AdditionTree]:
             stack.append(node.left)
 
 
-def cost(tree: AdditionTree) -> Value:
-    """Sum of |value| over internal nodes; a lone leaf costs 0.
+def _levels(tree: AdditionTree) -> Iterator[List[Internal]]:
+    """The internal nodes one depth at a time, from the root down, each
+    level left to right; leaves are dropped."""
+    level = [tree] if isinstance(tree, Internal) else []
+    while level:
+        yield level
+        level = [child for node in level for child in node[:2] if isinstance(child, Internal)]
 
-    Adds in preorder, as sum() over nodes() would, in one walk down each
-    left spine; only internal right children wait on the stack.
-    """
-    total = 0
-    stack = [tree]
-    push = stack.append
-    while stack:
-        node = stack.pop()
-        while isinstance(node, Internal):
-            node, right, value = node
-            total += abs(value)
-            if isinstance(right, Internal):
-                push(right)
-    return total
+
+def cost(tree: AdditionTree) -> Value:
+    """Sum of |value| over internal nodes; a lone leaf costs 0."""
+    return sum(sum(map(abs, map(itemgetter(2), level))) for level in _levels(tree))
 
 
 def depth(tree: AdditionTree) -> int:
-    """Number of edges on the longest root-to-leaf path."""
-    best = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, Internal):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-        elif d > best:
-            best = d
-    return best
+    """Number of edges on the longest root-to-leaf path: the deepest node
+    is a leaf, one edge below the last level of internal nodes."""
+    return sum(1 for _ in _levels(tree))
 
 
 def without_gc(fn):
@@ -115,7 +103,7 @@ def combine_balanced(trees: Sequence[AdditionTree]) -> AdditionTree:
     if not trees:
         raise ValueError("cannot build a tree over an empty sequence")
     tnew = tuple.__new__
-    level = list(trees)
+    level = trees
     while len(level) > 1:
         odd = len(level) % 2
         it = iter(level)

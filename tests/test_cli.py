@@ -518,9 +518,10 @@ INSTANCE = b"15 1\n4 5 6\n"
 
 def run_cli(*argv, **options):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
     return subprocess.run(
         [sys.executable, "-m", "addtree.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120, **options,
+        env=env, text=True, timeout=120, **options,
     )
 
 
@@ -613,6 +614,35 @@ def test_no_traceback_on_bad_files(tmp_path, command, case):
         "unwritable": f"cannot write {prefix}.txt",
     }[case]
     assert expected in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [("plan", 2), ("plan", 2000), ("oracle", 2), ("simulate", 2), ("reduce", 2)],
+)
+def test_closed_stdout_exits_2_with_one_line(tmp_path, command, size):
+    # A small report fails in the final flush, a large one inside print.
+    path = tmp_path / "input.txt"
+    path.write_bytes(INSTANCE if command == "reduce" else b"1\n-2\n" * (size // 2))
+    extra = {
+        "simulate": ["--precision", "24"],
+        "reduce": ["--out-prefix", str(tmp_path / "out")],
+    }.get(command, [])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write to stdout fails
+    try:
+        result = run_cli(command, str(path), *extra, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (
+        2, "invalid input: cannot write stdout: [Errno 32] Broken pipe\n"
+    )
+
+
+@pytest.mark.parametrize("alpha", ["", " "], ids=["empty", "blank"])
+def test_plan_empty_alpha_exits_2(data_file, capsys, alpha):
+    code, out, err = run(capsys, "plan", "--strategy", "huffman", "--alpha", alpha, data_file)
+    assert (code, out, err) == (2, "", "invalid input: empty value literal\n")
 
 
 HUGE = str(2**70)

@@ -1,10 +1,12 @@
-"""Differential tests: cost against the walk it replaced.
+"""Differential tests: cost and depth against the preorder walks they
+replaced.
 
-The reference visits every node, leaves included, through one stack of
-nodes; cost follows each left spine and pushes only internal right
-children. Both must give the same value and type on trees from every
-strategy, with int and Fraction leaves, and on chains deeper than the call
-stack allows.
+The references visit every node, leaves included, through one stack: of
+nodes for the cost, of (node, depth) pairs for the depth. cost and depth
+walk the internal nodes one level at a time instead. Both must agree with
+their reference on trees from every strategy, with int and Fraction
+leaves, and on chains deeper than the call stack allows; cost must also
+give the same type.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addtree.planner import plan
-from addtree.tree import Internal, Leaf, build_balanced, cost
+from addtree.tree import Internal, Leaf, build_balanced, cost, depth
 
 
 def reference_preorder(tree):
@@ -32,9 +34,23 @@ def reference_cost(tree):
     )
 
 
-def assert_same_cost(tree):
+def reference_depth(tree):
+    best = 0
+    stack = [(tree, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Internal):
+            stack.append((node.left, d + 1))
+            stack.append((node.right, d + 1))
+        else:
+            best = max(best, d)
+    return best
+
+
+def assert_matches_references(tree):
     got, expected = cost(tree), reference_cost(tree)
     assert got == expected and type(got) is type(expected)
+    assert depth(tree) == reference_depth(tree)
 
 
 nonzero_ints = st.integers(min_value=-50, max_value=50).filter(bool)
@@ -59,14 +75,14 @@ def test_cost_matches_reference_for_every_strategy(x):
     if len(x) <= 8:
         strategies.append("optimal")
     for strategy in strategies:
-        assert_same_cost(plan(x, strategy).tree)
+        assert_matches_references(plan(x, strategy).tree)
 
 
 def test_cost_on_a_lone_leaf_and_integral_fraction_sums():
-    assert_same_cost(Leaf(5))
-    assert_same_cost(Leaf(Fraction(1, 3)))
+    assert_matches_references(Leaf(5))
+    assert_matches_references(Leaf(Fraction(1, 3)))
     # Two halves sum to the Fraction 1, which cost must keep a Fraction.
-    assert_same_cost(build_balanced([Fraction(1, 2)] * 4))
+    assert_matches_references(build_balanced([Fraction(1, 2)] * 4))
 
 
 def test_cost_matches_reference_on_deep_chains():
@@ -76,4 +92,4 @@ def test_cost_matches_reference_on_deep_chains():
         right = Internal(Leaf(-i), right)
         zigzag = Internal(zigzag, Leaf(i)) if i % 2 else Internal(Leaf(i), zigzag)
     for chain in (left, right, zigzag):
-        assert_same_cost(chain)
+        assert_matches_references(chain)

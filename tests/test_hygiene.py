@@ -2,8 +2,9 @@
 uses or imports inside a function, every module-level function or class is
 named somewhere else and, unless it is public, by code that runs outside
 the tests, every name in addtree.__all__ resolves, each listed once,
-and has a docstring of its own if it is a function or class, and every
-console script that pyproject.toml declares names a callable.
+and has a docstring of its own if it is a function or class, no module
+but cli.py prints or names sys.stdout, and every console script that
+pyproject.toml declares names a callable.
 
 A refactor that deletes the last use of an import (a removed class, a call
 routed through another module) leaves the import behind, and one that
@@ -139,6 +140,16 @@ def test_every_private_definition_runs_outside_the_tests():
     # other definition must serve src/, demos/ or bench/, not tests alone.
     test_only = unnamed_definitions(RUNNERS)
     assert not test_only, f"definitions only tests name (move them to tests/): {test_only}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.name != "cli.py"], ids=lambda path: path.name
+)
+def test_only_the_cli_writes_to_stdout(path):
+    # cli.main turns a closed stdout into one error line; that covers every
+    # byte the package writes only while no other module prints.
+    names = names_in(ast.parse(path.read_text(), filename=str(path)))
+    assert not names & {"print", "stdout"}, f"{path.name} writes to stdout"
 
 
 def test_console_scripts_resolve_to_callables():
