@@ -14,6 +14,7 @@ verifiable with the exact oracle; the generator itself has no size limit.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,33 +152,29 @@ def check_partition_witness(
 def find_triple_partition(
     instance: ThreePartitionInstance,
 ) -> Optional[List[Tuple[int, int, int]]]:
-    """Exhaustive search for a witness partition; None if the instance is
-    negative. Independent of the addition-tree oracle. Capped at m <= 4."""
+    """The first witness partition of sorted B, by exhaustive search; None if
+    the instance is negative. Independent of the oracle. Capped at m <= 4."""
     m = validate_3par(instance)
     if m > 4:
         raise ValueError(f"exhaustive partition search capped at m = 4, got {m}")
-    items = list(instance.b)
+    return _triples(sorted(instance.b), instance.k)
 
-    def search(remaining: List[int]) -> Optional[List[Tuple[int, int, int]]]:
-        if not remaining:
-            return []
-        first = remaining[0]
-        rest = remaining[1:]
-        seen = set()
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                pair = (rest[i], rest[j])
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                if first + rest[i] + rest[j] == instance.k:
-                    leftover = rest[:i] + rest[i + 1 : j] + rest[j + 1 :]
-                    sub = search(leftover)
-                    if sub is not None:
-                        return [(first, rest[i], rest[j])] + sub
-        return None
 
-    return search(sorted(items))
+def _triples(items: List[int], k: int) -> Optional[List[Tuple[int, int, int]]]:
+    """The first partition of sorted items into triples summing to k, or None.
+
+    The first item goes with each pair of the others in turn. A module
+    function, not a closure: a recursive closure is a reference cycle.
+    """
+    if not items:
+        return []
+    first, *rest = items
+    for i, j in itertools.combinations(range(len(rest)), 2):
+        if first + rest[i] + rest[j] == k:
+            sub = _triples(rest[:i] + rest[i + 1 : j] + rest[j + 1 :], k)
+            if sub is not None:
+                return [(first, rest[i], rest[j])] + sub
+    return None
 
 
 def random_3par_instance(m: int, rng: random.Random) -> ThreePartitionInstance:

@@ -4,9 +4,10 @@ Computing the optimal cost is NP-hard for mixed-sign input, so the exact
 solver is an exponential subset dynamic program: for each subset S of the
 (indexed) input, f(S) = |sum(S)| + min over proper splits {A, S \\ A} of
 f(A) + f(S \\ A), with singletons costing 0. It is the ground truth that
-every approximation bound in this package is tested against. Only f is
-stored: the witness tree is rebuilt from the top by finding, for each of
-its n - 1 internal nodes, a split whose parts' f values sum to
+every approximation bound in this package is tested against. One pass
+over the masks in increasing order fills both tables, sum(S) and f(S). No
+choice table is kept: the witness tree is rebuilt from the top by finding,
+for each of its n - 1 internal nodes, a split whose parts' f values sum to
 f(S) - |sum(S)|; of those, the one whose part A (the part holding S's
 lowest index) has the smallest bitmask is taken.
 """
@@ -34,13 +35,6 @@ class OptimalResult:
     witness: AdditionTree
 
 
-def _scaled_ints(values: Sequence[Value]) -> tuple:
-    """Scale rationals to integers by the LCM of denominators."""
-    fracs = [Fraction(v) for v in values]
-    scale = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * scale) for f in fracs], scale
-
-
 def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
     """Exact minimum cost and a witness tree, via the subset DP.
 
@@ -52,22 +46,18 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
         raise ValueError("cannot optimize over an empty multiset")
     if n > cap:
         raise CapExceededError(f"oracle capped at {cap} elements, got {n}")
-    if n == 1:
-        return OptimalResult(optimal_cost=0, witness=Leaf(x[0]))
-
-    vals, scale = _scaled_ints(x)
+    fracs = [Fraction(v) for v in x]
+    scale = math.lcm(*(q.denominator for q in fracs))
+    vals = [int(q * scale) for q in fracs]  # the rationals scaled to integers
     size = 1 << n
     sums = [0] * size
-    for mask in range(1, size):
-        lsb = mask & -mask
-        sums[mask] = sums[mask ^ lsb] + vals[lsb.bit_length() - 1]
-
     f = [0] * size
     for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
         lsb = mask & -mask
         rest = mask ^ lsb
+        sums[mask] = sums[rest] + vals[lsb.bit_length() - 1]
+        if rest == 0:
+            continue  # a singleton costs 0
         # Canonical splits: the part containing the lowest set bit.
         best = f[lsb] + f[rest]
         sub = (rest - 1) & rest

@@ -152,10 +152,7 @@ def default_group_parameter(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    k = 0
-    while n >= 1 << ((1 << (k + 1)) + 1):
-        k += 1
-    return max(1, k)
+    return max(1, (n.bit_length() - 2).bit_length() - 1)
 
 
 def plan(

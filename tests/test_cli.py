@@ -346,6 +346,14 @@ def test_oracle_command(tmp_path, capsys):
     assert payload["witness"].startswith("(")
 
 
+def test_oracle_one_value(tmp_path, capsys):
+    path = write(tmp_path, "one.txt", "1/3\n")
+    code, out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["optimal_cost"] == "0" and payload["witness"] == "1/3"
+
+
 def test_oracle_sexpr_output(tmp_path, capsys):
     path = write(tmp_path, "three.txt", "5\n-5\n3\n")
     code, out, _ = run(capsys, "oracle", "--output", "sexpr", path)

@@ -8,6 +8,7 @@ import pytest
 
 from addtree import cli
 from addtree.cli import main
+from addtree.hardness import ThreePartitionInstance, find_triple_partition
 from addtree.huffman import build_huffman, build_huffman_sorted
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.numeric import ParseError
@@ -146,3 +147,16 @@ def test_oracle_tables_free_without_a_collection():
     finally:
         gc.enable() if was_enabled else gc.disable()
     assert result.witness.value == 22
+
+
+def test_triple_partition_search_leaves_no_garbage():
+    # A recursive closure would be a reference cycle left on every call.
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        witness = find_triple_partition(ThreePartitionInstance(b=(7, 8, 9, 7, 8, 9), k=24))
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert witness == [(7, 8, 9), (7, 8, 9)]

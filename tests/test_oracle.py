@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from addtree.huffman import build_huffman
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.oracle import CapExceededError, optimal_cost_dp
-from addtree.tree import cost, serialize
+from addtree.tree import Leaf, cost, serialize
 from checkers import double_factorial_tree_count, enumerate_trees, leaf_values
 
 
@@ -20,6 +20,14 @@ def test_dp_examples():
     assert optimal_cost_dp([7]).optimal_cost == 0
     with pytest.raises(ValueError, match="empty multiset"):
         optimal_cost_dp([])
+
+
+def test_one_element_goes_through_the_dp():
+    for x in ([Fraction(1, 3)], [-5]):
+        result = optimal_cost_dp(x)
+        assert result.optimal_cost == 0 and type(result.optimal_cost) is int
+        assert type(result.witness) is Leaf and result.witness == Leaf(x[0])
+        assert type(result.witness.value) is type(x[0])
 
 
 def test_witness_invariants():
@@ -35,6 +43,8 @@ def test_dp_cap():
         optimal_cost_dp(list(range(1, 23)))
     with pytest.raises(CapExceededError):
         optimal_cost_dp([1, 2, 3], cap=2)
+    with pytest.raises(CapExceededError, match="capped at 0 elements, got 1"):
+        optimal_cost_dp([7], cap=0)
 
 
 def test_dp_handles_rationals():

@@ -63,7 +63,20 @@ def test_plan_single_sign_negative_symmetry():
     assert plan_single_sign(neg, 1).value == -sum(x)
 
 
+def group_parameter_by_search(n):
+    """The largest k with n >= 2^(2^k + 1), at least 1, found by counting up."""
+    k = 0
+    while n >= 1 << ((1 << (k + 1)) + 1):
+        k += 1
+    return max(1, k)
+
+
 def test_default_group_parameter():
+    for n in range(2, 1 << 16):
+        assert default_group_parameter(n) == group_parameter_by_search(n), n
+    for j in range(2, 4097):
+        for n in (2**j - 1, 2**j, 2**j + 1):
+            assert default_group_parameter(n) == group_parameter_by_search(n), n
     assert default_group_parameter(256) == 2
     assert default_group_parameter(2**17) == 4
     assert default_group_parameter(4) == 1
