@@ -91,7 +91,10 @@ def _print_json(payload: dict) -> None:
 
 def cmd_plan(args) -> int:
     values = read_values(args.input)
-    alpha = None if args.alpha is None else parse_value(args.alpha)
+    try:
+        alpha = None if args.alpha is None else parse_value(args.alpha)
+    except ParseError as exc:
+        raise ValueError(f"--alpha: {exc}") from None
     report = planner.plan(
         values,
         args.strategy,
@@ -124,12 +127,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.out_prefix == "":
+        raise ValueError("--out-prefix: empty prefix")
+    text = _read_text(args.input)
     try:
-        instance = hardness.parse_3par(_read_text(args.input))
+        reduction = hardness.reduce_to_addition_tree(hardness.parse_3par(text))
     except ParseError as exc:
         raise ValueError(f"{args.input}:{exc.lineno}: {exc}") from None
-    reduction = hardness.reduce_to_addition_tree(instance)
-    prefix = args.out_prefix or str(Path(args.input).with_suffix("")) + "_reduced"
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
+    prefix = args.out_prefix
+    if prefix is None:
+        prefix = str(Path(args.input).with_suffix("")) + "_reduced"
     x_path = Path(prefix + ".txt")
     sidecar_path = Path(prefix + ".json")
     x_text = "".join(f"{v}\n" for v in reduction.x)
@@ -152,7 +161,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_simulate(args) -> int:
     values = read_values(args.input)
-    prec = fpsim.Precision(args.precision)
+    try:
+        prec = fpsim.Precision(args.precision)
+    except ValueError as exc:
+        raise ValueError(f"--precision: {exc}") from None
     report = planner.plan(values, args.strategy, t=args.t, presorted=args.sorted)
     result = fpsim.simulate(report.tree, prec)
     try:

@@ -219,6 +219,8 @@ def parse_3par(text: str) -> ThreePartitionInstance:
             error.lineno = lineno
             raise error from None
     k, m, *b = values
+    if m < 1:
+        raise ValueError(f"the 'K m' header needs m >= 1, got {k} {m}")
     if len(b) != 3 * m:
         raise ValueError(f"expected {3 * m} elements after the header, got {len(b)}")
     return ThreePartitionInstance(b=tuple(b), k=k)

@@ -43,12 +43,10 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
 
 @without_gc
 def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
-    """Huffman tree for a nondecreasing sequence; the order is checked.
-    Positive values are then already in merge order and skip the sort, and
-    negative ones take build_huffman's descending sort, one linear pass."""
+    """build_huffman on a nondecreasing sequence. The order is checked and
+    selects no other code path: build_huffman's sort of sorted input is one
+    linear pass."""
     check_ascending(values)
-    if values and values[0] > 0:
-        return two_queue_merge(list(values))
     return build_huffman(values)
 
 

@@ -388,6 +388,30 @@ def test_reduce_invalid_instance_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5 -1\n", "the 'K m' header needs m >= 1, got 5 -1"),
+        ("24 0\n", "the 'K m' header needs m >= 1, got 24 0"),
+        ("24 1\n8 8 8 9\n", "expected 3 elements after the header, got 4"),
+        ("6 1\n1 2 3\n", "element 1 violates b > K/4 (K = 6)"),
+    ],
+    ids=["negative-m", "zero-m", "count", "invalid"],
+)
+def test_reduce_names_the_file_of_a_bad_instance(tmp_path, capsys, text, message):
+    path = write(tmp_path, "bad.txt", text)
+    code, out, err = run(capsys, "reduce", path)
+    assert (code, out, err) == (2, "", f"invalid input: {path}: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+
+def test_reduce_empty_out_prefix_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = write(tmp_path, "par1.txt", "15 1\n4 5 6\n")
+    code, out, err = run(capsys, "reduce", "--out-prefix", "", path)
+    assert (code, out, err) == (2, "", "invalid input: --out-prefix: empty prefix\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["par1.txt"]
+
+
 def test_reduce_names_the_file_and_line_of_a_bad_element(tmp_path, capsys):
     path = write(tmp_path, "bad.txt", "100 1\n30 x 40\n")
     code, out, err = run(capsys, "reduce", path)
@@ -650,7 +674,26 @@ def test_closed_stdout_exits_2_with_one_line(tmp_path, command, size):
 @pytest.mark.parametrize("alpha", ["", " "], ids=["empty", "blank"])
 def test_plan_empty_alpha_exits_2(data_file, capsys, alpha):
     code, out, err = run(capsys, "plan", "--strategy", "huffman", "--alpha", alpha, data_file)
-    assert (code, out, err) == (2, "", "invalid input: empty value literal\n")
+    assert (code, out, err) == (2, "", "invalid input: --alpha: empty value literal\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "--alpha", "abc"], "--alpha: malformed value literal: 'abc'"),
+        (["plan", "--alpha", "1/0"], "--alpha: malformed value literal: '1/0'"),
+        (
+            ["plan", "--alpha", "1e-5000"],
+            f"--alpha: value literal exponent exceeds {sys.get_int_max_str_digits()} in magnitude",
+        ),
+        (["simulate", "--precision", "0"], "--precision: significand must have at least 2 bits"),
+        (["simulate", "--precision", "1"], "--precision: significand must have at least 2 bits"),
+    ],
+    ids=lambda v: "=".join(v[-2:]) if isinstance(v, list) else "",
+)
+def test_bad_option_value_names_the_option(data_file, capsys, argv, message):
+    code, out, err = run(capsys, argv[0], *argv[1:], data_file)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
 
 
 HUGE = str(2**70)

@@ -128,6 +128,9 @@ def test_file_roundtrip():
     assert info.value.lineno == 2
     with pytest.raises(ValueError, match="'K m' header"):
         parse_3par("# only a comment\nx\n")
+    for text in ("5 -1\n", "24 0\n"):
+        with pytest.raises(ValueError, match="'K m' header needs m >= 1"):
+            parse_3par(text)
 
 
 @pytest.mark.parametrize(

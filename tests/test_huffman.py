@@ -79,8 +79,10 @@ def test_huffman_conserves_sum(values):
 
 
 def test_two_queue_linear_comparison_count():
-    # Comparison-counting wrapper: the two-queue builder should perform
-    # O(n) comparisons, here asserted as <= 8n.
+    # Comparison-counting wrapper: the sorted-input builder should perform
+    # O(n) comparisons, here asserted as <= 8n. The count covers the order
+    # check, the builder's sort pass over sorted input and the two-queue
+    # merge, about 4n in all.
     class Counted(int):
         comparisons = 0
 
@@ -101,7 +103,7 @@ def test_two_queue_linear_comparison_count():
     n = 2000
     values = sorted(Counted(rng.randint(1, 10**6)) for _ in range(n))
     # A maximum beyond 64 bits checks that big integers go through the same
-    # two-queue loop; the comparison count reflects that loop alone.
+    # check, sort and two-queue loop.
     values.append(Counted(2**64))
     Counted.comparisons = 0
     build_huffman_sorted(values)
