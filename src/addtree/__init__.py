@@ -26,9 +26,11 @@ from .tree import (
     AdditionTree,
     Internal,
     Leaf,
+    Schedule,
     build_balanced,
     cost,
     depth,
+    flatten,
     parse_tree,
     serialize,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "PlanReport",
     "Precision",
     "ReductionInstance",
+    "Schedule",
     "SimulationResult",
     "ThreePartitionInstance",
     "Value",
@@ -56,6 +59,7 @@ __all__ = [
     "default_group_parameter",
     "depth",
     "find_triple_partition",
+    "flatten",
     "format_value",
     "minimum_critical_matching",
     "optimal_cost_dp",

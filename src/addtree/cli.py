@@ -92,8 +92,8 @@ def _print_json(payload: dict) -> None:
 def cmd_plan(args) -> int:
     values = read_values(args.input)
     try:
-        alpha = None if args.alpha is None else parse_value(args.alpha)
-    except ParseError as exc:
+        alpha = None if args.alpha is None else planner.check_alpha(parse_value(args.alpha))
+    except ValueError as exc:  # a ParseError too
         raise ValueError(f"--alpha: {exc}") from None
     report = planner.plan(
         values,
@@ -104,7 +104,7 @@ def cmd_plan(args) -> int:
         presorted=args.sorted,
     )
     if args.output == "sexpr":
-        print(tree.serialize(report.tree))
+        print(tree.serialize(report.schedule))
     else:
         _print_json(report.to_json_dict(len(values)))
     return 0
@@ -114,13 +114,13 @@ def cmd_oracle(args) -> int:
     values = read_values(args.input)
     report = planner.plan(values, "optimal", oracle_cap=args.cap)
     if args.output == "sexpr":
-        print(tree.serialize(report.tree))
+        print(tree.serialize(report.schedule))
     else:
         _print_json(
             {
                 "n": len(values),
                 "optimal_cost": format_value(report.optimal_cost),
-                "witness": tree.serialize(report.tree),
+                "witness": tree.serialize(report.schedule),
             }
         )
     return 0

@@ -21,7 +21,7 @@ from fractions import Fraction
 from sys import get_int_max_str_digits, maxsize
 
 from .numeric import Value, as_value, digit_limit_error, format_value
-from .tree import AdditionTree, Internal
+from .tree import Internal, Plan, tree_view
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ class SimulationResult:
         }
 
 
-def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
-    """Evaluate the tree bottom-up with a rounded add at every internal node."""
+def simulate(tree: Plan, prec: Precision) -> SimulationResult:
+    """Evaluate the tree bottom-up with a rounded add at every internal
+    node; a schedule is evaluated through its Leaf/Internal view."""
     # One iterative post-order pass; trees from the planners can be deep.
     # The right child is visited first, so bad leaves are listed right to
     # left. None marks an addition whose operands are the top two entries.
@@ -134,7 +135,7 @@ def simulate(tree: AdditionTree, prec: Precision) -> SimulationResult:
     pop, push = sums.pop, sums.append
     bad = []
     cost_m = cost_e = 0
-    stack: list = [tree]
+    stack: list = [tree_view(tree)]
     while stack:
         node = stack.pop()
         if node is None:

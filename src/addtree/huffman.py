@@ -7,20 +7,22 @@ of Huffman trees", ICALP 1976), O(n) over keys that are already sorted.
 Unsorted input is sorted first, stably, so equal values merge in input
 order; numeric.exact_sorted does that sort, on exact integer keys when the
 input holds rationals with a small common denominator. All-negative input
-is merged on magnitudes while its leaves keep their negative values.
+is merged on magnitudes while its leaves keep their negative values. The
+merge writes into a tree.Schedule: the sorted values are its leaves, and
+each merge takes the next slot of its values list and index arrays.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from .numeric import Value, check_ascending, exact_sorted
-from .tree import AdditionTree, Internal, Leaf, without_gc
+from .tree import Schedule, without_gc
 
 
 @without_gc
-def build_huffman(values: Sequence[Value]) -> AdditionTree:
+def build_huffman(values: Sequence[Value]) -> Schedule:
     """Minimum-cost addition tree over nonzero values of one sign.
 
     Ties are broken by input order (the earliest equal value merges first),
@@ -36,13 +38,17 @@ def build_huffman(values: Sequence[Value]) -> AdditionTree:
         raise ValueError(
             f"Huffman construction requires nonzero values of one sign, got {order[0]}"
         )
+    s = Schedule.over(order)
+    del order  # the schedule holds the leaves now
     if negative:
-        return two_queue_merge([-v for v in order], [Leaf(v) for v in order])
-    return two_queue_merge(order)
+        two_queue_merge(s, [-v for v in islice(s.values, len(values))])
+    else:
+        two_queue_merge(s)
+    return s
 
 
 @without_gc
-def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
+def build_huffman_sorted(values: Sequence[Value]) -> Schedule:
     """build_huffman on a nondecreasing sequence. The order is checked and
     selects no other code path: build_huffman's sort of sorted input is one
     linear pass."""
@@ -51,66 +57,80 @@ def build_huffman_sorted(values: Sequence[Value]) -> AdditionTree:
 
 
 def two_queue_merge(
-    keys: List[Value], trees: Optional[Sequence[AdditionTree]] = None
-) -> AdditionTree:
-    """Huffman merge over nondecreasing positive keys, in O(n).
+    s: Schedule, keys: Optional[List[Value]] = None, ids: Optional[Sequence[int]] = None
+) -> None:
+    """Huffman merge over nondecreasing positive keys, in O(n), written to
+    the last len(keys) - 1 merge slots of the schedule s.
 
-    trees[i] is the subtree keyed by keys[i]; merging two subtrees keys the
-    result by the sum of their keys. Without trees, the leaves hold the keys
-    themselves. Input items wait in one FIFO queue and merged subtrees in
-    another; both stay nondecreasing, so the two smallest items are always
-    at the queue fronts. On ties the input queue wins, and the first item
-    popped becomes the left child.
+    ids[i] is the schedule id of the item keyed by keys[i], the leaves of
+    s in order when ids is None; merging two items keys the result by the
+    sum of their keys and gives it the sum of their values. Without keys,
+    the items are the leaves of s and their values are their keys. Input
+    items wait in one FIFO queue and merged items in another; both stay
+    nondecreasing, so the two smallest items are always at the queue
+    fronts. On ties the input queue wins, and the first item popped becomes
+    the left child.
 
     keys is a list that the caller built for this call and gives up: the
     merge appends its end-of-queue sentinel to it in place, where a copy
     would hold a second list of n pointers at the peak of the build.
+    Without keys, the sentinel sits in the first merge slot until the merge
+    values are written.
     """
-    n = len(keys)
-    tnew = tuple.__new__
-    own_keys = trees is None
-    if own_keys:
-        trees = list(map(tnew, repeat(Leaf, n), zip(keys)))
+    values, left, right = s.values, s.left, s.right
+    own_keys = keys is None
+    n = len(values) - len(left) if own_keys else len(keys)
     if n == 1:
-        return trees[0]
+        return
+    slot = len(left) - (n - 1)  # the first merge slot written here
+    first = len(values) - (n - 1)  # the id of the merge in that slot
+    if ids is None:
+        ids = range(n)
 
     # Queue fronts and keys are carried in locals to keep this O(n) pass
     # cheap in constant factors. An infinite key past the last item stands
     # for an empty queue: the input keys get one appended, and merged key k
-    # is written when tree k is built, so unwritten slots read as infinite.
+    # is written when merge k is made, so unwritten slots read as infinite.
     inf = float("inf")
-    keys.append(inf)
+    if own_keys:
+        keys = values
+        values[n] = inf
+    else:
+        keys.append(inf)
     merged_keys = [inf] * n
-    merged_trees: list = []
-    mt_append = merged_trees.append
     i = j = 0
     lk = keys[0]
     mk = inf
     for k in range(n - 1):
         if lk <= mk:
-            a = trees[i]
+            a = ids[i]
             ka = lk
             i += 1
             lk = keys[i]
         else:
-            a = merged_trees[j]
+            a = first + j
             ka = mk
             j += 1
             mk = merged_keys[j]
         if lk <= mk:
-            b = trees[i]
+            b = ids[i]
             kb = lk
             i += 1
             lk = keys[i]
         else:
-            b = merged_trees[j]
+            b = first + j
             kb = mk
             j += 1
             mk = merged_keys[j]
-        s = ka + kb
-        # With the keys as leaf values, the key sum is the node value.
-        mt_append(tnew(Internal, (a, b, s if own_keys else a.value + b.value)))
-        merged_keys[k] = s
+        left[slot + k] = a
+        right[slot + k] = b
+        merged_keys[k] = mk_new = ka + kb
         if mk is inf:
-            mk = s
-    return merged_trees[-1]
+            mk = mk_new
+    del merged_keys[-1]
+    if own_keys:
+        # With the keys as leaf values, the key sums are the merge values.
+        values[first:] = merged_keys
+        return
+    for k in range(slot, len(left)):
+        values[first - slot + k] = values[left[k]] + values[right[k]]

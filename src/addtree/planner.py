@@ -12,13 +12,21 @@ Strategies:
   optimal + t * |sum|; with the default t this gives a
   ceil(log2 log2 n)-factor guarantee in O(n) time even unsorted.
 * ``optimal``   -- exact oracle, exponential time, small n only.
+
+Every planner returns its tree as a flat merge schedule (tree.Schedule):
+the balanced rounds and the two-queue Huffman merge write their merges
+into one values list and two index arrays, and the report's cost and
+rendering read that schedule. The Leaf/Internal view (PlanReport.tree) is built only when
+a caller reads it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -28,11 +36,12 @@ from .numeric import Value, as_value, check_ascending, format_value
 from .oracle import optimal_cost_dp
 from .tree import (
     AdditionTree,
-    Internal,
-    Leaf,
+    Schedule,
     build_balanced,
-    combine_balanced,
     cost,
+    flatten,
+    pair_round,
+    pair_rounds,
     serialize,
     without_gc,
 )
@@ -42,17 +51,22 @@ STRATEGIES = ("balanced", "huffman", "critical", "grouped", "optimal")
 
 @dataclass
 class PlanReport:
-    """A planned tree with its guarantee; cost and error bound derive from the tree."""
+    """A planned tree with its guarantee; cost and error bound derive from
+    the schedule, and the Leaf/Internal view is built on first read."""
 
     strategy: str
-    tree: AdditionTree
+    schedule: Schedule
     alpha: Value
     guarantee_factor: Optional[Value] = None
     optimal_cost: Optional[Value] = None
 
+    @property
+    def tree(self) -> AdditionTree:
+        return self.schedule.tree
+
     @cached_property
     def cost(self) -> Value:
-        return cost(self.tree)
+        return cost(self.schedule)
 
     @property
     def error_bound(self) -> Value:
@@ -75,7 +89,7 @@ class PlanReport:
             "guarantee_factor": fmt(self.guarantee_factor),
             "optimal_cost": fmt(self.optimal_cost),
             "observed_ratio": fmt(self.observed_ratio),
-            "tree": serialize(self.tree),
+            "tree": serialize(self.schedule),
         }
 
 
@@ -97,11 +111,14 @@ def _one_sign(x: Sequence[Value]) -> bool:
 
 
 @without_gc
-def plan_general(x: Sequence[Value]) -> AdditionTree:
+def plan_general(x: Sequence[Value]) -> Schedule:
     """Mixed-sign planner: match, add pairs, balance the rest.
 
-    Runs in O(n) after sorting; sorting already sorted input is a single
-    linear pass.
+    The leaves are the matched pairs, each positive value before its
+    negative partner, then the unmatched values. One round adds each pair;
+    the balanced rounds then combine the pair sums, followed by the
+    unmatched leaves. Runs in O(n) after sorting; sorting already sorted
+    input is a single linear pass.
     """
     if not x:
         raise ValueError("input multiset is empty")
@@ -109,17 +126,17 @@ def plan_general(x: Sequence[Value]) -> AdditionTree:
     if not positives or not negatives:
         raise ValueError("critical strategy requires mixed-sign input")
     matching = minimum_critical_matching(positives, negatives)
-    tnew = tuple.__new__
-    pieces = [
-        tnew(Internal, (tnew(Leaf, (a,)), tnew(Leaf, (b,)), a + b))
-        for a, b in matching.pairs
-    ]
-    pieces.extend(tnew(Leaf, (z,)) for z in matching.unmatched)
-    return combine_balanced(pieces)
+    paired = 2 * len(matching.pairs)
+    s = Schedule.over(chain(chain.from_iterable(matching.pairs), matching.unmatched))
+    pieces, level, k = pair_round(s, array("i", range(paired)), s.values, 0)
+    pieces.extend(range(paired, len(x)))
+    level += s.values[paired : len(x)]
+    pair_rounds(s, pieces, level, k)
+    return s
 
 
 @without_gc
-def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
+def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     """Single-sign planner: groups of 2^t, Huffman over group maxima.
 
     Partitions x in input order into ceil(n / 2^t) groups, builds a
@@ -131,17 +148,29 @@ def plan_single_sign(x: Sequence[Value], t: int) -> AdditionTree:
         raise ValueError("grouped strategy requires single-sign input")
     if t < 1:
         raise ValueError(f"group parameter t must be >= 1, got {t}")
+    n = len(x)
     negative = x[0] < 0
-    # Any width above len(x) gives one group; capping t keeps 1 << t small.
-    width = 1 << min(t, len(x).bit_length())
-    keyed = []  # (group max magnitude, group tree)
-    for i in range(0, len(x), width):
-        group = x[i : i + width]
-        keyed.append((-min(group) if negative else max(group), build_balanced(group)))
+    # Any width above n gives one group; capping t keeps 1 << t small.
+    rounds = min(t, n.bit_length())
+    width = 1 << rounds
+    full = n - n % width  # the leaves of the full groups
+    s = Schedule.over(x)
+    # Every round halves each full group exactly, so the full groups pair
+    # up side by side without a pair crossing two groups.
+    roots, level, k = array("i", range(full)), s.values, 0
+    for _ in range(rounds):
+        roots, level, k = pair_round(s, roots, level, k)
+    if full < n:
+        roots.append(pair_rounds(s, array("i", range(full, n)), s.values[full:n], k))
+    keys = [
+        -min(x[i : i + width]) if negative else max(x[i : i + width])
+        for i in range(0, n, width)
+    ]
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
-    keyed.sort(key=itemgetter(0))
-    return two_queue_merge([k for k, _ in keyed], [g for _, g in keyed])
+    keyed = sorted(zip(keys, roots), key=itemgetter(0))
+    two_queue_merge(s, [key for key, _ in keyed], [root for _, root in keyed])
+    return s
 
 
 def default_group_parameter(n: int) -> int:
@@ -153,6 +182,15 @@ def default_group_parameter(n: int) -> int:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return max(1, (n.bit_length() - 2).bit_length() - 1)
+
+
+def check_alpha(alpha: Optional[Value]) -> Value:
+    """The unit roundoff a report uses: 2^-53 (IEEE double) for None, and
+    otherwise alpha itself, which must satisfy 0 <= alpha < 1."""
+    alpha = Fraction(1, 2**53) if alpha is None else as_value(alpha)
+    if not (0 <= alpha < 1):
+        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
+    return alpha
 
 
 def plan(
@@ -176,34 +214,32 @@ def plan(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if presorted:
         check_ascending(x)
-    alpha = Fraction(1, 2**53) if alpha is None else as_value(alpha)
-    if not (0 <= alpha < 1):
-        raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
+    alpha = check_alpha(alpha)
     n = len(x)
     guarantee: Optional[Value] = None
     optimal: Optional[Value] = None
 
     if strategy == "balanced":
-        tree = build_balanced(x)
+        schedule = build_balanced(x)
         if n >= 2 and _one_sign(x):
             guarantee = _ceil_log2(n)
     elif strategy == "huffman":
-        tree = build_huffman(x)  # rejects mixed signs at the head of its sort
+        schedule = build_huffman(x)  # rejects mixed signs at the head of its sort
         guarantee = 1
     elif strategy == "critical":
-        tree = plan_general(x)
+        schedule = plan_general(x)
         guarantee = 2 * (_ceil_log2(n - 1) + 1)
     elif strategy == "grouped":
         if t is None:
             t = default_group_parameter(max(n, 2))
-        tree = plan_single_sign(x, t)
+        schedule = plan_single_sign(x, t)
         guarantee = 1 + t
     else:  # optimal
         result = optimal_cost_dp(x, cap=oracle_cap)
-        tree = result.witness
+        schedule = flatten(result.witness)
         optimal = result.optimal_cost
         guarantee = 1
 
     if with_oracle and optimal is None:
         optimal = optimal_cost_dp(x, cap=oracle_cap).optimal_cost
-    return PlanReport(strategy, tree, alpha, guarantee, optimal)
+    return PlanReport(strategy, schedule, alpha, guarantee, optimal)

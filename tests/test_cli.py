@@ -696,6 +696,16 @@ def test_bad_option_value_names_the_option(data_file, capsys, argv, message):
     assert (code, out, err) == (2, "", f"invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("alpha, shown", [("1", "1"), ("-1/2", "-1/2"), ("1.5", "3/2")])
+def test_plan_alpha_out_of_range_names_the_option(data_file, capsys, alpha, shown):
+    # One range check: planner.plan raises it, and the CLI names the option.
+    message = f"alpha must satisfy 0 <= alpha < 1, got {shown}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        planner.plan([1, 2], "huffman", alpha=parse_value(alpha))
+    code, out, err = run(capsys, "plan", "--strategy", "huffman", f"--alpha={alpha}", data_file)
+    assert (code, out, err) == (2, "", f"invalid input: --alpha: {message}\n")
+
+
 HUGE = str(2**70)
 
 

@@ -82,7 +82,7 @@ def test_cost_on_a_lone_leaf_and_integral_fraction_sums():
     assert_matches_references(Leaf(5))
     assert_matches_references(Leaf(Fraction(1, 3)))
     # Two halves sum to the Fraction 1, which cost must keep a Fraction.
-    assert_matches_references(build_balanced([Fraction(1, 2)] * 4))
+    assert_matches_references(build_balanced([Fraction(1, 2)] * 4).tree)
 
 
 def test_cost_matches_reference_on_deep_chains():

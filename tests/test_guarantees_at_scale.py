@@ -25,6 +25,7 @@ from addtree.huffman import build_huffman
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.planner import default_group_parameter, plan, plan_single_sign
 from addtree.tree import cost
+from test_plan_digest import SIZES, inputs
 
 
 def ceil_log2(k):
@@ -42,6 +43,18 @@ def test_critical_proof_inequality(n, seed):
     x[:2] = [abs(x[0]), -abs(x[1])]  # mixed at every n
     bound = minimum_critical_matching(*split_by_sign(x)).total
     assert plan(x, "critical").cost <= (ceil_log2(n - 1) + 1) * bound
+
+
+def test_critical_proof_inequality_on_the_digest_inputs():
+    # The mixed inputs that test_plan_digest hashes: ints, rationals, ties
+    # and 200-bit values at n = 2..13 and 200.
+    checked = 0
+    for kind, sign, x in inputs():
+        if sign == "mixed" and len(x) >= 2:
+            bound = minimum_critical_matching(*split_by_sign(x)).total
+            assert plan(x, "critical").cost <= (ceil_log2(len(x) - 1) + 1) * bound, (kind, x)
+            checked += 1
+    assert checked == 5 * (len(SIZES) - 1)
 
 
 def test_critical_guarantee_on_a_reduction_yes_instance():
@@ -68,8 +81,12 @@ def single_sign_inputs():
     yield "uniform_1e5", [rng.randint(1, 10**6) for _ in range(10**5)]
 
 
-@pytest.mark.parametrize("name, x", list(single_sign_inputs()), ids=lambda v: v if isinstance(v, str) else "")
-def test_grouped_bound_against_the_huffman_optimum(name, x):
+SINGLE_SIGN = dict(single_sign_inputs())
+
+
+@pytest.mark.parametrize("name", SINGLE_SIGN)
+def test_grouped_bound_against_the_huffman_optimum(name):
+    x = SINGLE_SIGN[name]
     opt = cost(build_huffman(x))
     s = abs(sum(x))
     ts = {1, 2, 3, 6, default_group_parameter(len(x))}

@@ -17,13 +17,13 @@ def test_huffman_examples():
     assert cost(build_huffman([1, 2, 3, 4])) == 19
     assert cost(build_huffman([1, 1, 2])) == 6
     t = build_huffman([5])
-    assert isinstance(t, Leaf) and cost(t) == 0
+    assert isinstance(t.tree, Leaf) and cost(t) == 0
 
 
 def test_sorted_examples():
     assert cost(build_huffman_sorted([1, 2, 3, 4])) == 19
     assert cost(build_huffman_sorted([1, 1, 1, 1])) == 8
-    assert isinstance(build_huffman_sorted([5]), Leaf)
+    assert isinstance(build_huffman_sorted([5]).tree, Leaf)
 
 
 @pytest.mark.parametrize("builder", [build_huffman, build_huffman_sorted])
@@ -75,7 +75,7 @@ def test_sorted_builder_builds_the_same_tree(magnitudes, negative):
 
 @given(positive_lists)
 def test_huffman_conserves_sum(values):
-    assert build_huffman(values).value == sum(values)
+    assert build_huffman(values).tree.value == sum(values)
 
 
 def test_two_queue_linear_comparison_count():

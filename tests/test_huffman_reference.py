@@ -62,7 +62,7 @@ def heap_huffman(values):
 def heap_grouped(values, t):
     width = 1 << t
     groups = [values[i : i + width] for i in range(0, len(values), width)]
-    return heap_merge([(max(g), i, build_balanced(g)) for i, g in enumerate(groups)])
+    return heap_merge([(max(g), i, build_balanced(g).tree) for i, g in enumerate(groups)])
 
 
 def mirror(tree):

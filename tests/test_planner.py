@@ -60,7 +60,7 @@ def test_plan_single_sign_negative_symmetry():
     x = [3, 1, 4, 1, 5, 9, 2, 6]
     neg = [-v for v in x]
     assert cost(plan_single_sign(neg, 1)) == cost(plan_single_sign(x, 1))
-    assert plan_single_sign(neg, 1).value == -sum(x)
+    assert plan_single_sign(neg, 1).tree.value == -sum(x)
 
 
 def group_parameter_by_search(n):
@@ -135,9 +135,9 @@ def test_planner_conservation():
             x = [rng.choice([1, -1]) * rng.randint(1, 99) for _ in range(n)]
             if any(v > 0 for v in x) and any(v < 0 for v in x):
                 break
-        assert plan_general(x).value == sum(x)
+        assert plan_general(x).tree.value == sum(x)
         pos = [abs(v) for v in x]
-        assert plan_single_sign(pos, 2).value == sum(pos)
+        assert plan_single_sign(pos, 2).tree.value == sum(pos)
 
 
 def test_plan_dispatch():

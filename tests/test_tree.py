@@ -47,7 +47,7 @@ def test_build_balanced_examples():
     t3 = build_balanced([1, 2, 3])
     assert serialize(t3) == "((1 2) 3)"
     assert depth(t3) == 2
-    assert isinstance(build_balanced([7]), Leaf)
+    assert isinstance(build_balanced([7]).tree, Leaf)
 
 
 def test_build_balanced_empty():
@@ -72,7 +72,7 @@ def test_parse_errors_report_position():
 
 @given(values_lists)
 def test_conservation(values):
-    assert build_balanced(values).value == sum(values)
+    assert build_balanced(values).tree.value == sum(values)
 
 
 @given(values_lists)
@@ -98,7 +98,7 @@ def test_single_sign_balanced_cost_bound(values):
 @given(values_lists)
 def test_serialize_roundtrip(values):
     rng = random.Random(0)
-    tree = build_balanced(sorted(values, key=lambda _: rng.random()))
+    tree = build_balanced(sorted(values, key=lambda _: rng.random())).tree
     back = parse_tree(serialize(tree))
     assert cost(back) == cost(tree)
     assert back.value == tree.value
