@@ -39,7 +39,7 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
             f"Huffman construction requires nonzero values of one sign, got {order[0]}"
         )
     s = Schedule.over(order)
-    del order  # the schedule holds the leaves now
+    del order  # the schedule holds the leaves; free the sorted copy before the merge
     if negative:
         two_queue_merge(s, [-v for v in islice(s.values, len(values))])
     else:
@@ -59,8 +59,8 @@ def build_huffman_sorted(values: Sequence[Value]) -> Schedule:
 def two_queue_merge(
     s: Schedule, keys: Optional[List[Value]] = None, ids: Optional[Sequence[int]] = None
 ) -> None:
-    """Huffman merge over nondecreasing positive keys, in O(n), written to
-    the last len(keys) - 1 merge slots of the schedule s.
+    """Huffman merge of n items over nondecreasing positive keys, in O(n),
+    written to the last n - 1 merge slots of the schedule s.
 
     ids[i] is the schedule id of the item keyed by keys[i], the leaves of
     s in order when ids is None; merging two items keys the result by the
@@ -124,13 +124,15 @@ def two_queue_merge(
             mk = merged_keys[j]
         left[slot + k] = a
         right[slot + k] = b
-        merged_keys[k] = mk_new = ka + kb
+        merged_keys[k] = key = ka + kb
         if mk is inf:
-            mk = mk_new
+            mk = key
     del merged_keys[-1]
     if own_keys:
         # With the keys as leaf values, the key sums are the merge values.
         values[first:] = merged_keys
         return
+    # Each merge value is the sum of its children's, which come before it.
+    leaves = first - slot
     for k in range(slot, len(left)):
-        values[first - slot + k] = values[left[k]] + values[right[k]]
+        values[leaves + k] = values[left[k]] + values[right[k]]
