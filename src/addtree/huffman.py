@@ -69,13 +69,8 @@ def two_queue_merge(
     items wait in one FIFO queue and merged items in another; both stay
     nondecreasing, so the two smallest items are always at the queue
     fronts. On ties the input queue wins, and the first item popped becomes
-    the left child.
-
-    keys is a list that the caller built for this call and gives up: the
-    merge appends its end-of-queue sentinel to it in place, where a copy
-    would hold a second list of n pointers at the peak of the build.
-    Without keys, the sentinel sits in the first merge slot until the merge
-    values are written.
+    the left child. Without keys, the merged keys are written straight into
+    the merge slots of s, so the merge holds no list beside the schedule.
     """
     values, left, right = s.values, s.left, s.right
     own_keys = keys is None
@@ -88,16 +83,16 @@ def two_queue_merge(
         ids = range(n)
 
     # Queue fronts and keys are carried in locals to keep this O(n) pass
-    # cheap in constant factors. An infinite key past the last item stands
-    # for an empty queue: the input keys get one appended, and merged key k
-    # is written when merge k is made, so unwritten slots read as infinite.
+    # cheap in constant factors; an infinite key stands for an empty queue.
+    # Merged keys go to the merge slots of values when they are the merge
+    # values, and to a list of their own otherwise.
     inf = float("inf")
     if own_keys:
-        keys = values
-        values[n] = inf
+        keys = mkeys = values
+        mbase = first
     else:
-        keys.append(inf)
-    merged_keys = [inf] * n
+        mkeys = [None] * (n - 1)
+        mbase = 0
     i = j = 0
     lk = keys[0]
     mk = inf
@@ -106,31 +101,28 @@ def two_queue_merge(
             a = ids[i]
             ka = lk
             i += 1
-            lk = keys[i]
+            lk = keys[i] if i < n else inf
         else:
             a = first + j
             ka = mk
             j += 1
-            mk = merged_keys[j]
+            mk = mkeys[mbase + j] if j < k else inf
         if lk <= mk:
             b = ids[i]
             kb = lk
             i += 1
-            lk = keys[i]
+            lk = keys[i] if i < n else inf
         else:
             b = first + j
             kb = mk
             j += 1
-            mk = merged_keys[j]
+            mk = mkeys[mbase + j] if j < k else inf
         left[slot + k] = a
         right[slot + k] = b
-        merged_keys[k] = key = ka + kb
+        mkeys[mbase + k] = key = ka + kb
         if mk is inf:
             mk = key
-    del merged_keys[-1]
     if own_keys:
-        # With the keys as leaf values, the key sums are the merge values.
-        values[first:] = merged_keys
         return
     # Each merge value is the sum of its children's, which come before it.
     leaves = first - slot

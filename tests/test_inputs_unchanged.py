@@ -1,9 +1,9 @@
 """No builder or planner changes the list it is given.
 
-two_queue_merge appends its sentinel to its keys list in place, so every
-caller must hand it a list of its own; this checks the public entry points
-that reach it, and the others, on int and Fraction input of each sign they
-accept, sorted and unsorted.
+Every builder copies its input into a schedule and sorts or splits its
+own copies; this checks the public entry points that reach the Huffman
+merge, and the others, on int and Fraction input of each sign they accept,
+sorted and unsorted.
 """
 
 import random
