@@ -11,6 +11,13 @@ operation: OverflowError, such as a `simulate --precision` too large to
 shift by, whose message names the option, or a result too long to print
 under sys.get_int_max_str_digits()), 3 oracle size cap. A failure prints
 one line on stderr and no traceback.
+
+A report is rendered in full before its first byte is written, so a
+failure while rendering leaves stdout empty. _write_stdout then writes the
+text in slices of at most 64 KiB. `plan` drops each stage's input once the
+next stage holds what it needs: the values once planned, the report once
+rendered, the JSON payload once it is text. At its peak it holds the merge
+schedule and about one copy of the output.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ from .oracle import CapExceededError
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_ORACLE_CAP = 3
+
+# _write_stdout writes a report in slices of at most this many characters.
+STDOUT_SLICE = 1 << 16
 
 SORTED_HELP = (
     "promise that the input is sorted ascending; the promise is checked, and "
@@ -85,16 +95,36 @@ def read_values(path: str) -> List[Value]:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _write_stdout(text: str) -> None:
+    """Write a finished report and a newline to stdout, in slices of at
+    most STDOUT_SLICE characters, so that no encoded copy of the whole text
+    is made. Reports are ASCII: a character is a byte."""
+    write = sys.stdout.write
+    for start in range(0, len(text), STDOUT_SLICE):
+        write(text[start : start + STDOUT_SLICE])
+    write("\n")
+
+
+def _option(name: str, check, value):
+    """check(value), its ValueError (a ParseError too) led by the option's name."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _check_t(args) -> None:
+    # Only the grouped strategy reads t; the others ignore it.
+    if args.strategy == "grouped" and args.t is not None:
+        _option("--t", planner.check_group_parameter, args.t)
 
 
 def cmd_plan(args) -> int:
     values = read_values(args.input)
-    try:
-        alpha = None if args.alpha is None else planner.check_alpha(parse_value(args.alpha))
-    except ValueError as exc:  # a ParseError too
-        raise ValueError(f"--alpha: {exc}") from None
+    alpha = args.alpha
+    if alpha is not None:
+        alpha = _option("--alpha", lambda a: planner.check_alpha(parse_value(a)), alpha)
+    _check_t(args)
     report = planner.plan(
         values,
         args.strategy,
@@ -103,10 +133,18 @@ def cmd_plan(args) -> int:
         with_oracle=args.with_oracle,
         presorted=args.sorted,
     )
+    # Drop each stage's input as soon as the next stage holds what it needs.
+    n = len(values)
+    del values
     if args.output == "sexpr":
-        print(tree.serialize(report.schedule))
+        text = tree.serialize(report.schedule)
+        del report
     else:
-        _print_json(report.to_json_dict(len(values)))
+        payload = report.to_json_dict(n)
+        del report
+        text = json.dumps(payload, indent=2)
+        del payload
+    _write_stdout(text)
     return 0
 
 
@@ -114,15 +152,14 @@ def cmd_oracle(args) -> int:
     values = read_values(args.input)
     report = planner.plan(values, "optimal", oracle_cap=args.cap)
     if args.output == "sexpr":
-        print(tree.serialize(report.schedule))
+        _write_stdout(tree.serialize(report.schedule))
     else:
-        _print_json(
-            {
-                "n": len(values),
-                "optimal_cost": format_value(report.optimal_cost),
-                "witness": tree.serialize(report.schedule),
-            }
-        )
+        payload = {
+            "n": len(values),
+            "optimal_cost": format_value(report.optimal_cost),
+            "witness": tree.serialize(report.schedule),
+        }
+        _write_stdout(json.dumps(payload, indent=2))
     return 0
 
 
@@ -148,23 +185,20 @@ def cmd_reduce(args) -> int:
             path.write_text(text)
         except OSError as exc:
             raise ValueError(f"cannot write {path}: {exc}") from None
-    _print_json(
-        {
-            "x_file": str(x_path),
-            "sidecar": str(sidecar_path),
-            "n": len(reduction.x),
-            "target_cost": str(reduction.target_cost),
-        }
-    )
+    payload = {
+        "x_file": str(x_path),
+        "sidecar": str(sidecar_path),
+        "n": len(reduction.x),
+        "target_cost": str(reduction.target_cost),
+    }
+    _write_stdout(json.dumps(payload, indent=2))
     return 0
 
 
 def cmd_simulate(args) -> int:
     values = read_values(args.input)
-    try:
-        prec = fpsim.Precision(args.precision)
-    except ValueError as exc:
-        raise ValueError(f"--precision: {exc}") from None
+    prec = _option("--precision", fpsim.Precision, args.precision)
+    _check_t(args)
     report = planner.plan(values, args.strategy, t=args.t, presorted=args.sorted)
     result = fpsim.simulate(report.tree, prec)
     try:
@@ -176,7 +210,7 @@ def cmd_simulate(args) -> int:
     payload["strategy"] = args.strategy
     payload["precision"] = args.precision
     payload["cost"] = format_value(result.cost)
-    _print_json(payload)
+    _write_stdout(json.dumps(payload, indent=2))
     return 0
 
 

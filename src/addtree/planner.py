@@ -126,8 +126,12 @@ def plan_general(x: Sequence[Value]) -> Schedule:
     if not positives or not negatives:
         raise ValueError("critical strategy requires mixed-sign input")
     matching = minimum_critical_matching(positives, negatives)
+    # Each stage drops its input once the next holds what it needs, so the
+    # sign lists and the pair tuples never outlive their use.
+    del positives, negatives
     paired = 2 * len(matching.pairs)
     s = Schedule.over(chain(chain.from_iterable(matching.pairs), matching.unmatched))
+    del matching
     pieces, level, k = pair_round(s, array("i", range(paired)), s.values, 0)
     pieces.extend(range(paired, len(x)))
     level += s.values[paired : len(x)]
@@ -146,8 +150,7 @@ def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     if not (x and _one_sign(x)):
         _reject_empty_or_zero(x)
         raise ValueError("grouped strategy requires single-sign input")
-    if t < 1:
-        raise ValueError(f"group parameter t must be >= 1, got {t}")
+    check_group_parameter(t)
     n = len(x)
     negative = x[0] < 0
     # Any width above n gives one group; capping t keeps 1 << t small.
@@ -171,6 +174,12 @@ def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     keyed = sorted(zip(keys, roots), key=itemgetter(0))
     two_queue_merge(s, [key for key, _ in keyed], [root for _, root in keyed])
     return s
+
+
+def check_group_parameter(t: int) -> None:
+    """Reject a grouped-planner t below 1."""
+    if t < 1:
+        raise ValueError(f"group parameter t must be >= 1, got {t}")
 
 
 def default_group_parameter(n: int) -> int:

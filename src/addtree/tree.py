@@ -241,11 +241,22 @@ def build_balanced(values: Sequence[Value]) -> Schedule:
     return s
 
 
+# serialize joins its pieces into one chunk every this many pieces.
+SERIALIZE_CHUNK = 1 << 16
+
+
 def serialize(tree: Plan) -> str:
-    """Nested parenthesized form, e.g. "((1 2) 3)"."""
+    """Nested parenthesized form, e.g. "((1 2) 3)".
+
+    The pieces (parens, separators, formatted values) are joined into a
+    chunk every SERIALIZE_CHUNK pieces, and the chunks into the text at the
+    end, so the working memory is about three times the text; one list of
+    every piece took about eight.
+    """
     s = flatten(tree)
     values, left, right = s.values, s.left, s.right
     n = len(values) - len(left)
+    chunks = []
     out = []
     write = out.append
     stack: list = [len(values) - 1]
@@ -255,6 +266,9 @@ def serialize(tree: Plan) -> str:
         if isinstance(node, str):
             write(node)
             continue
+        if len(out) >= SERIALIZE_CHUNK:
+            chunks.append("".join(out))
+            out.clear()
         # Walk down the left spine: each merge opens at once and leaves
         # its separator, right child and closing paren on the stack, as
         # one string when the right child is a leaf.
@@ -269,7 +283,8 @@ def serialize(tree: Plan) -> str:
             else:
                 push(f" {format_value(values[r])})")
         write(format_value(values[node]))
-    return "".join(out)
+    chunks.append("".join(out))
+    return "".join(chunks)
 
 
 # A paren, or a run of anything else that is not whitespace; \s matches

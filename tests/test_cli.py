@@ -332,6 +332,19 @@ def test_result_over_digit_limit_exit_2(tmp_path, capsys, text):
     )
 
 
+def test_digit_limit_late_in_the_text_leaves_stdout_empty(tmp_path, capsys):
+    # The last leaf, 2^-14000, formats only in the last chunk of the
+    # s-expression, after many chunks are done: none of them is written.
+    text = "".join(f"{i}\n" for i in range(1, 10**5 + 1)) + f"1/{2**14000}\n"
+    path = write(tmp_path, "late.txt", text)
+    code, out, err = run(capsys, "plan", "--strategy", "balanced", "--output", "sexpr", path)
+    assert code == 2 and out == ""
+    assert err == (
+        "invalid input: a computed result exceeds the int/str conversion limit "
+        "of 4300 digits (sys.get_int_max_str_digits())\n"
+    )
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "plan", "--strategy", "bogus", "nofile")
     assert code == 1
@@ -650,10 +663,11 @@ def test_no_traceback_on_bad_files(tmp_path, command, case):
 
 @pytest.mark.parametrize(
     "command, size",
-    [("plan", 2), ("plan", 2000), ("oracle", 2), ("simulate", 2), ("reduce", 2)],
+    [("plan", 2), ("plan", 2000), ("plan", 200000), ("oracle", 2), ("simulate", 2), ("reduce", 2)],
 )
 def test_closed_stdout_exits_2_with_one_line(tmp_path, command, size):
-    # A small report fails in the final flush, a large one inside print.
+    # A small report fails in the final flush, a large one in the write of
+    # its first slice, with further slices still to come.
     path = tmp_path / "input.txt"
     path.write_bytes(INSTANCE if command == "reduce" else b"1\n-2\n" * (size // 2))
     extra = {
@@ -704,6 +718,22 @@ def test_plan_alpha_out_of_range_names_the_option(data_file, capsys, alpha, show
         planner.plan([1, 2], "huffman", alpha=parse_value(alpha))
     code, out, err = run(capsys, "plan", "--strategy", "huffman", f"--alpha={alpha}", data_file)
     assert (code, out, err) == (2, "", f"invalid input: --alpha: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("t", [0, -5])
+def test_group_parameter_below_1_names_the_option(data_file, capsys, command, t):
+    # One check: plan_single_sign raises it, and the CLI names the option.
+    message = f"group parameter t must be >= 1, got {t}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        planner.plan_single_sign([1, 2], t)
+    extra = ["--precision", "24"] if command == "simulate" else []
+    grouped = run(capsys, command, data_file, "--strategy", "grouped", "--t", str(t), *extra)
+    assert grouped == (2, "", f"invalid input: --t: {message}\n")
+    # The balanced strategy ignores t.
+    balanced = [command, data_file, "--strategy", "balanced", *extra]
+    with_t = run(capsys, *balanced, "--t", str(t))
+    assert with_t[0] == 0 and with_t == run(capsys, *balanced)
 
 
 HUGE = str(2**70)

@@ -1,17 +1,21 @@
 """Differential tests: serialize against the stack serializer it replaced.
 
 The reference pushes every node's five parts on one stack; serialize
-follows each left spine instead. Both must give the same text on trees from
-every strategy, with int and Fraction leaves, and on chains deeper than the
-call stack allows.
+follows each left spine instead and joins its pieces into a chunk every
+SERIALIZE_CHUNK pieces. Both must give the same text on trees from every
+strategy, with int and Fraction leaves, on chains deeper than the call
+stack allows, and on renderings that span several chunks.
 """
+
+import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addtree.numeric import format_value
 from addtree.planner import plan
-from addtree.tree import Internal, Leaf, cost, parse_tree, serialize
+from addtree.tree import SERIALIZE_CHUNK, Leaf, cost, parse_tree, serialize
 from checkers import leaf_values
 
 
@@ -65,10 +69,28 @@ def test_serialize_matches_reference_for_every_strategy(x):
         assert_same_text(plan(x, strategy).tree)
 
 
+def assert_same_text_across_chunks(tree, n):
+    # Every node writes at least one piece, so the 2n - 1 nodes of n
+    # leaves fill more than three chunks.
+    assert 2 * n - 1 > 3 * SERIALIZE_CHUNK
+    text = serialize(tree)
+    assert text == reference_serialize(tree)
+    return text
+
+
 def test_serialize_matches_reference_on_deep_chains():
-    left = right = Leaf(0)
-    for i in range(1, 10**5):
-        left = Internal(left, Leaf(i))
-        right = Internal(Leaf(-i), right)
-    for chain in (left, right):
-        assert_same_text(chain)
+    # 10^5-deep left- and right-nested chains, built from their text.
+    n = 10**5
+    left = "(" * (n - 1) + "0" + "".join(f" {i})" for i in range(1, n))
+    right = "".join(f"({-i} " for i in range(1, n)) + "0" + ")" * (n - 1)
+    for text in (left, right):
+        assert assert_same_text_across_chunks(parse_tree(text), n) == text
+
+
+def test_serialize_matches_reference_across_chunks():
+    rng = random.Random(7)
+    n = 2 * 10**5
+    mixed = [rng.choice((-1, 1)) * rng.randrange(1, 10**9) for _ in range(n)]
+    assert_same_text_across_chunks(plan(mixed, "balanced").tree, n)
+    fractions = [Fraction(rng.randrange(1, 10**6), rng.randrange(1, 13)) for _ in range(n)]
+    assert_same_text_across_chunks(plan(fractions, "huffman").tree, n)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -114,6 +115,21 @@ def test_deep_tree_operations_are_iterative():
     assert depth(node) == 5000
     text = serialize(node)
     assert text.count("(") == 5000
+
+
+def test_serialize_working_memory_is_bounded():
+    # One list of small strings per node takes about 8 times the text; a
+    # chunk of pieces at a time, the chunks and their join about 3 times.
+    rng = random.Random(5)
+    x = [rng.choice((-1, 1)) * rng.randrange(1, 10**9) for _ in range(10**5)]
+    schedule = build_balanced(x)
+    tracemalloc.start()
+    try:
+        text = serialize(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 def test_repr_of_deep_trees():
