@@ -250,8 +250,8 @@ def serialize(tree: Plan) -> str:
 
     The pieces (parens, separators, formatted values) are joined into a
     chunk every SERIALIZE_CHUNK pieces, and the chunks into the text at the
-    end, so the working memory is about three times the text; one list of
-    every piece took about eight.
+    end. At most SERIALIZE_CHUNK small piece strings are alive at once, so
+    the working memory is about three times the text.
     """
     s = flatten(tree)
     values, left, right = s.values, s.left, s.right

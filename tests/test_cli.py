@@ -345,6 +345,18 @@ def test_digit_limit_late_in_the_text_leaves_stdout_empty(tmp_path, capsys):
     )
 
 
+def test_report_over_several_slices_is_written_whole(tmp_path, capsys):
+    values = list(range(1, 10**5 + 1))
+    path = write(tmp_path, "ints.txt", "".join(f"{v}\n" for v in values))
+    text = serialize(planner.plan(values, "balanced").schedule)
+    assert len(text) > 3 * cli.STDOUT_SLICE
+    assert run(capsys, "plan", "--strategy", "balanced", "--output", "sexpr", path) == (
+        0, text + "\n", ""
+    )
+    code, out, err = run(capsys, "plan", "--strategy", "balanced", path)
+    assert (code, json.loads(out)["tree"], err) == (0, text, "")
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "plan", "--strategy", "bogus", "nofile")
     assert code == 1

@@ -84,7 +84,9 @@ def test_serialize_matches_reference_on_deep_chains():
     left = "(" * (n - 1) + "0" + "".join(f" {i})" for i in range(1, n))
     right = "".join(f"({-i} " for i in range(1, n)) + "0" + ")" * (n - 1)
     for text in (left, right):
-        assert assert_same_text_across_chunks(parse_tree(text), n) == text
+        chain = parse_tree(text)
+        assert assert_same_text_across_chunks(chain, n) == text
+        assert_same_text(chain)
 
 
 def test_serialize_matches_reference_across_chunks():
