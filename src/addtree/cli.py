@@ -14,10 +14,13 @@ one line on stderr and no traceback.
 
 A report is rendered in full before its first byte is written, so a
 failure while rendering leaves stdout empty. _write_stdout then writes the
-text in slices of at most 64 KiB. `plan` drops each stage's input once the
+text in slices of at most 64 KiB. Input files are converted in batches of
+about 1 MiB of text (read_values), so ingest holds the text, the values
+and one batch of line strings. `plan` drops each stage's input once the
 next stage holds what it needs: the values once planned, the report once
-rendered, the JSON payload once it is text. At its peak it holds the merge
-schedule and about one copy of the output.
+rendered, the JSON payload once it is text. Rendering holds the merge
+schedule and about one copy of the output; the run's peak is the
+planner's, the values beside the schedule it fills.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_ORACLE_CAP = 3
 
+# read_values converts a file in batches of about this many characters,
+# cut at line ends.
+READ_BATCH = 1 << 20
 # _write_stdout writes a report in slices of at most this many characters.
 STDOUT_SLICE = 1 << 16
 
@@ -78,21 +84,33 @@ def read_values(path: str) -> List[Value]:
     """The values of the file, one per non-blank line after '#' comments
     are cut, each exactly what parse_value gives for its line.
 
-    The tokens convert in one batch (numeric.parse_values), so an all-int
-    file takes one int() pass. A bad token is named as path:line by
-    counting non-blank lines up to its index, without parsing any again.
+    The text is cut at line ends into batches of about READ_BATCH
+    characters, and each batch's tokens convert at once
+    (numeric.parse_values), so an all-int batch takes one int() pass and
+    only one batch of line strings is alive beside the values. A bad
+    token is named as path:line by counting non-blank lines over the whole
+    text up to its index, without parsing any again.
     """
     text = _read_text(path)
-    tokens = list(filter(None, map(str.strip, uncommented_lines(text))))
-    if not tokens:
+    values: List[Value] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + READ_BATCH)
+        if end < 0:
+            end = len(text)
+        tokens = list(filter(None, map(str.strip, uncommented_lines(text[start:end]))))
+        try:
+            values += parse_values(tokens)
+        except ParseError as exc:
+            index = len(values) + exc.index
+            # The line numbers of the non-blank lines, one per token.
+            linenos = compress(count(1), map(str.strip, uncommented_lines(text)))
+            lineno = next(islice(linenos, index, None))
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        start = end + 1
+    if not values:
         raise ValueError(f"{path}: no values found")
-    try:
-        return parse_values(tokens)
-    except ParseError as exc:
-        # The line numbers of the non-blank lines, one per token.
-        linenos = compress(count(1), map(str.strip, uncommented_lines(text)))
-        lineno = next(islice(linenos, exc.index, None))
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 def _write_stdout(text: str) -> None:

@@ -5,13 +5,14 @@ Pi + Delta, where Pi sums the magnitudes of the pair sums and Delta sums
 the magnitudes of the unmatched elements. Rank-aligned pairing of the two
 sorted sides minimizes Pi + Delta, and every addition tree T satisfies
 2 C(T) >= Pi* + Delta*, which is the lower bound the general planner is
-measured against.
+measured against. A CriticalMatching keeps only the two sorted sides, since
+rank alignment makes the pairs a function of them; the general planner
+lays its leaves out from the sides without building a pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 from .numeric import Value, exact_sorted
@@ -20,11 +21,32 @@ from .tree import without_gc
 
 @dataclass(frozen=True)
 class CriticalMatching:
-    """Pairs and unmatched elements; Pi, Delta and their total are computed
-    on access, since the planner reads only the pairs."""
+    """A minimum critical matching, held as its two sides sorted by
+    ascending magnitude: the last k values of each side pair up, k the
+    shorter side's length, and the longer side's head is left unmatched.
+    The pairs, the unmatched values, Pi, Delta and their total are computed
+    on access, so the planner lays out the leaves from the sides without a
+    tuple per pair."""
 
-    pairs: tuple  # (positive, negative) pairs
-    unmatched: tuple
+    positives: list  # ascending
+    negatives: list  # descending, so ascending in magnitude
+
+    @property
+    def n_pairs(self) -> int:
+        """The shorter side's length."""
+        return min(len(self.positives), len(self.negatives))
+
+    @property
+    def pairs(self) -> tuple:
+        """The (positive, negative) pairs, smallest magnitudes first."""
+        k = self.n_pairs
+        return tuple(zip(self.positives[-k:], self.negatives[-k:]))
+
+    @property
+    def unmatched(self) -> tuple:
+        """The longer side's head, its smallest magnitudes first."""
+        p, q, k = self.positives, self.negatives, self.n_pairs
+        return (*p[: len(p) - k], *q[: len(q) - k])
 
     @property
     def pi(self) -> Value:
@@ -32,7 +54,7 @@ class CriticalMatching:
 
     @property
     def delta(self) -> Value:
-        return sum(abs(z) for z in self.unmatched)
+        return sum(map(abs, self.unmatched))
 
     @property
     def total(self) -> Value:
@@ -48,9 +70,10 @@ def minimum_critical_matching(
     positives (all > 0) and negatives (all < 0) may come in any order and
     are sorted here, each by numeric.exact_sorted, which orders rationals on
     exact integer keys when their common denominator is small; a side
-    already in order costs one linear pass. When the sides differ in
-    length, the largest-magnitude elements of the longer side are paired
-    and the smallest-magnitude ones are left unmatched.
+    already in order costs one linear pass. The matching holds the two
+    sorted sides and nothing per pair. When the sides differ in length, the
+    largest-magnitude elements of the longer side are paired and the
+    smallest-magnitude ones are left unmatched.
     """
     if not positives or not negatives:
         raise ValueError(
@@ -64,14 +87,7 @@ def minimum_critical_matching(
         raise ValueError(f"expected strictly positive value, got {positives[0]}")
     if negatives[0] >= 0:
         raise ValueError(f"expected strictly negative value, got {negatives[0]}")
-
-    # Both sides now ascend in magnitude: the last k values of each side
-    # pair up, and the longer side's head is left over.
-    k = min(len(positives), len(negatives))
-    skip_pos, skip_neg = len(positives) - k, len(negatives) - k
-    pairs = zip(islice(positives, skip_pos, None), islice(negatives, skip_neg, None))
-    unmatched = (*islice(positives, skip_pos), *islice(negatives, skip_neg))
-    return CriticalMatching(pairs=tuple(pairs), unmatched=unmatched)
+    return CriticalMatching(positives, negatives)
 
 
 def split_by_sign(x: Sequence[Value]) -> tuple:

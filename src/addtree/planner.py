@@ -15,7 +15,8 @@ Strategies:
 
 Every planner returns its tree as a flat merge schedule (tree.Schedule):
 the balanced rounds and the two-queue Huffman merge write their merges
-into one values list and two index arrays, and the report's cost and
+into one values list and two index arrays, the critical planner's leaves
+are slices of the matching's sorted sides, and the report's cost and
 rendering read that schedule. The Leaf/Internal view (PlanReport.tree) is built only when
 a caller reads it.
 """
@@ -26,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
+from itertools import repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -115,10 +116,13 @@ def plan_general(x: Sequence[Value]) -> Schedule:
     """Mixed-sign planner: match, add pairs, balance the rest.
 
     The leaves are the matched pairs, each positive value before its
-    negative partner, then the unmatched values. One round adds each pair;
-    the balanced rounds then combine the pair sums, followed by the
-    unmatched leaves. Runs in O(n) after sorting; sorting already sorted
-    input is a single linear pass.
+    negative partner, then the unmatched values. They are laid out straight
+    from the matching's sorted sides by three slice assignments: the
+    positive tail at the even slots, the negative tail at the odd slots,
+    then the longer side's head, with nothing built per pair. One round
+    adds each pair; the balanced rounds then combine the pair sums,
+    followed by the unmatched leaves. Runs in O(n) after sorting; sorting
+    already sorted input is a single linear pass.
     """
     if not x:
         raise ValueError("input multiset is empty")
@@ -127,14 +131,20 @@ def plan_general(x: Sequence[Value]) -> Schedule:
         raise ValueError("critical strategy requires mixed-sign input")
     matching = minimum_critical_matching(positives, negatives)
     # Each stage drops its input once the next holds what it needs, so the
-    # sign lists and the pair tuples never outlive their use.
+    # sign lists and the matching's sides never outlive their use.
     del positives, negatives
-    paired = 2 * len(matching.pairs)
-    s = Schedule.over(chain(chain.from_iterable(matching.pairs), matching.unmatched))
+    n, m = len(x), matching.n_pairs
+    paired = 2 * m
+    s = Schedule.over(repeat(None, n))  # the leaf slots are filled below
+    values, p, q = s.values, matching.positives, matching.negatives
     del matching
-    pieces, level, k = pair_round(s, array("i", range(paired)), s.values, 0)
-    pieces.extend(range(paired, len(x)))
-    level += s.values[paired : len(x)]
+    values[0:paired:2] = p[-m:]
+    values[1:paired:2] = q[-m:]
+    values[paired:n] = p[: len(p) - m] or q[: len(q) - m]
+    del p, q
+    pieces, level, k = pair_round(s, array("i", range(paired)), values, 0)
+    pieces.extend(range(paired, n))
+    level += values[paired:n]
     pair_rounds(s, pieces, level, k)
     return s
 

@@ -241,22 +241,23 @@ def build_balanced(values: Sequence[Value]) -> Schedule:
     return s
 
 
-# serialize joins its pieces into one chunk every this many pieces.
+# serialize appends its pieces to the text every this many pieces.
 SERIALIZE_CHUNK = 1 << 16
 
 
 def serialize(tree: Plan) -> str:
     """Nested parenthesized form, e.g. "((1 2) 3)".
 
-    The pieces (parens, separators, formatted values) are joined into a
-    chunk every SERIALIZE_CHUNK pieces, and the chunks into the text at the
-    end. At most SERIALIZE_CHUNK small piece strings are alive at once, so
-    the working memory is about three times the text.
+    The pieces (parens, separators, formatted values) are joined and
+    appended to the text every SERIALIZE_CHUNK pieces. The text is a local
+    that nothing else refers to, so CPython grows it in place rather than
+    copying it, and at most SERIALIZE_CHUNK small piece strings are alive
+    at once: the working memory is about the text and one chunk.
     """
     s = flatten(tree)
     values, left, right = s.values, s.left, s.right
     n = len(values) - len(left)
-    chunks = []
+    text = ""
     out = []
     write = out.append
     stack: list = [len(values) - 1]
@@ -267,7 +268,7 @@ def serialize(tree: Plan) -> str:
             write(node)
             continue
         if len(out) >= SERIALIZE_CHUNK:
-            chunks.append("".join(out))
+            text += "".join(out)
             out.clear()
         # Walk down the left spine: each merge opens at once and leaves
         # its separator, right child and closing paren on the stack, as
@@ -283,8 +284,8 @@ def serialize(tree: Plan) -> str:
             else:
                 push(f" {format_value(values[r])})")
         write(format_value(values[node]))
-    chunks.append("".join(out))
-    return "".join(chunks)
+    text += "".join(out)
+    return text
 
 
 # A paren, or a run of anything else that is not whitespace; \s matches

@@ -1,11 +1,14 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -261,6 +264,69 @@ def test_read_values_fuzz(tmp_path_factory, case):
         assert outcome == ("error", f"{path}: no values found")
     else:
         assert outcome == ("values", values, [type(v) for v in values])
+
+
+@given(value_files(), st.integers(1, 40), st.booleans())
+def test_read_values_in_small_batches(tmp_path_factory, case, batch, unended):
+    # Batches of a few characters put line ends of every kind, comments and
+    # blank lines next to a cut, and make many batches of comments only.
+    data, _ = case
+    if unended:
+        data = data.rstrip(b"\r\n")  # the last line has no line end
+    path = str(tmp_path_factory.getbasetemp() / "batches.txt")
+    Path(path).write_bytes(data)
+    with patch.object(cli, "READ_BATCH", batch):
+        outcome = read_outcome(read_values, path)
+    assert outcome == read_outcome(reference_read_values, path)
+
+
+def batched_file(bad=None):
+    """The text of a file over four READ_BATCH batches: ints with LF ends,
+    more than two batches of comment lines (so that one batch holds only
+    comments), then ints with CRLF ends, the last line without an end and,
+    with bad, the bad token on the 100,000th line of that last block."""
+    head = "".join(f"{v} # {v}\n" for v in range(-90000, 90000) if v)
+    comments = "# nothing to read on this line, only a comment\n" * 50000
+    tail = [f" {v}\t" for v in range(1, 150001)]
+    if bad is not None:
+        tail[99999] = bad
+    assert len(head) > cli.READ_BATCH and len(comments) > 2 * cli.READ_BATCH
+    return head + comments + "\r\n".join(tail)
+
+
+def test_read_values_across_real_batches(tmp_path):
+    path = write(tmp_path, "batches.txt", batched_file())
+    values = read_values(path)
+    assert values == reference_read_values(path)
+    assert len(values) == 179999 + 150000 and values[-1] == 150000
+
+
+def test_bad_token_in_a_later_batch_names_its_line(tmp_path, capsys):
+    path = write(tmp_path, "batches.txt", batched_file(bad="12x"))
+    with pytest.raises(ValueError) as info:
+        reference_read_values(path)
+    lineno = 179999 + 50000 + 100000
+    assert str(info.value) == f"{path}:{lineno}: malformed value literal: '12x'"
+    code, out, err = run(capsys, "plan", path)
+    assert code == 2 and out == ""
+    assert err == f"invalid input: {info.value}\n"
+
+
+def test_read_values_working_memory_is_bounded(tmp_path):
+    # The tokens of the whole file at once peaked at 3.1 times the values
+    # read; a batch at a time, the working memory beside the values is about
+    # the text and one batch of tokens.
+    rng = random.Random(1)
+    text = "".join(f"{rng.choice((-1, 1)) * rng.randrange(1, 10**9)}\n" for _ in range(10**6))
+    path = write(tmp_path, "ints.txt", text)
+    tracemalloc.start()
+    try:
+        values = read_values(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 10**6
+    assert peak - retained < 3 * len(text)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from addtree.matching import minimum_critical_matching, split_by_sign
+from addtree.numeric import as_value
 from addtree.oracle import CapExceededError
 from addtree.tree import cost
 from checkers import brute_force_matching, enumerate_trees
@@ -105,6 +106,46 @@ def test_any_order_matches_sorted_sides(pos, neg, data):
         data.draw(st.permutations(positives)), data.draw(st.permutations(negatives))
     )
     assert m.pairs == expected.pairs and m.unmatched == expected.unmatched
+
+
+def reference_matching(positives, negatives):
+    """The matching as (pairs, unmatched) tuples, built pair by pair from
+    the two sides sorted by ascending magnitude: the layout the planner
+    used before the matching kept only the sorted sides."""
+    positives = sorted(positives)
+    negatives = sorted(negatives, reverse=True)
+    k = min(len(positives), len(negatives))
+    skip_pos, skip_neg = len(positives) - k, len(negatives) - k
+    pairs = tuple(zip(positives[skip_pos:], negatives[skip_neg:]))
+    return pairs, (*positives[:skip_pos], *negatives[:skip_neg])
+
+
+# Sides of unequal lengths, as ints, Fractions, or both mixed.
+mixed = st.lists(
+    st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=4).map(as_value),
+    min_size=1,
+    max_size=12,
+)
+sides = st.tuples(st.one_of(magnitudes, mixed), st.one_of(magnitudes, mixed)).map(
+    lambda s: (s[0], [-v for v in s[1]])
+)
+
+
+@given(sides, st.data())
+def test_matching_matches_tuple_reference(a, data):
+    # A second input: either a permutation of the first, whose matching is
+    # equal, or one drawn on its own.
+    if data.draw(st.booleans()):
+        b = tuple(data.draw(st.permutations(side)) for side in a)
+    else:
+        b = data.draw(sides)
+    ma, mb = minimum_critical_matching(*a), minimum_critical_matching(*b)
+    ra, rb = reference_matching(*a), reference_matching(*b)
+    # repr tells an int from an equal Fraction.
+    assert repr((ma.pairs, ma.unmatched)) == repr(ra)
+    pairs, unmatched = ra
+    assert ma.total == sum(abs(p + q) for p, q in pairs) + sum(map(abs, unmatched))
+    assert (ma == mb) == (ra == rb)
 
 
 @given(

@@ -132,6 +132,21 @@ def test_serialize_working_memory_is_bounded():
     assert peak < 4 * len(text)
 
 
+def test_serialize_grows_its_text_in_place():
+    # Past a few chunks the text itself sets the peak: chunks joined at the
+    # end took 2.1 times the text, one text grown in place about 1.4 times.
+    rng = random.Random(6)
+    x = [rng.choice((-1, 1)) * rng.randrange(1, 10**9) for _ in range(4 * 10**5)]
+    schedule = build_balanced(x)
+    tracemalloc.start()
+    try:
+        text = serialize(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * len(text)
+
+
 def test_repr_of_deep_trees():
     # A namedtuple's own repr recurses into the children and raises
     # RecursionError on a chain this deep; the nodes name only their value.
