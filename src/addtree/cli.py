@@ -107,6 +107,8 @@ def read_values(path: str) -> List[Value]:
             linenos = compress(count(1), map(str.strip, uncommented_lines(text)))
             lineno = next(islice(linenos, index, None))
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        # Dropped before the next batch is split, not when it is rebound.
+        del tokens
         start = end + 1
     if not values:
         raise ValueError(f"{path}: no values found")

@@ -54,7 +54,7 @@ class CriticalMatching:
 
     @property
     def delta(self) -> Value:
-        return sum(map(abs, self.unmatched))
+        return sum(abs(z) for z in self.unmatched)
 
     @property
     def total(self) -> Value:
