@@ -15,7 +15,7 @@ one line on stderr and no traceback.
 A report is rendered in full before its first byte is written, so a
 failure while rendering leaves stdout empty. _write_stdout then writes the
 text in slices of at most 64 KiB. Input files are converted in batches of
-about 1 MiB of text (read_values), so ingest holds the text, the values
+about 64 KiB of text (read_values), so ingest holds the text, the values
 and one batch of line strings. `plan` drops each stage's input once the
 next stage holds what it needs: the values once planned, the report once
 rendered, the JSON payload once it is text. Rendering holds the merge
@@ -43,7 +43,7 @@ EXIT_ORACLE_CAP = 3
 
 # read_values converts a file in batches of about this many characters,
 # cut at line ends.
-READ_BATCH = 1 << 20
+READ_BATCH = 1 << 16
 # _write_stdout writes a report in slices of at most this many characters.
 STDOUT_SLICE = 1 << 16
 

@@ -281,7 +281,7 @@ def test_read_values_in_small_batches(tmp_path_factory, case, batch, unended):
 
 
 def batched_file(bad=None):
-    """The text of a file over four READ_BATCH batches: ints with LF ends,
+    """The text of a file over many READ_BATCH batches: ints with LF ends,
     more than two batches of comment lines (so that one batch holds only
     comments), then ints with CRLF ends, the last line without an end and,
     with bad, the bad token on the 100,000th line of that last block."""
