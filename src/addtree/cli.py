@@ -89,7 +89,8 @@ def read_values(path: str) -> List[Value]:
     (numeric.parse_values), so an all-int batch takes one int() pass and
     only one batch of line strings is alive beside the values. A bad
     token is named as path:line by counting non-blank lines over the whole
-    text up to its index, without parsing any again.
+    text up to its index, without parsing any again. The list returned is
+    exactly as long as the values, with no growth slack.
     """
     text = _read_text(path)
     values: List[Value] = []
@@ -112,7 +113,10 @@ def read_values(path: str) -> List[Value]:
         start = end + 1
     if not values:
         raise ValueError(f"{path}: no values found")
-    return values
+    del text
+    # The list grew batch by batch and keeps its growth slack; one copy of
+    # exactly its length is what the values carry into planning.
+    return values[:]
 
 
 def _write_stdout(text: str) -> None:

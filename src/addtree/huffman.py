@@ -5,19 +5,23 @@ minimum-cost addition tree when every input shares one sign. One builder
 does the merging: the two-queue method (van Leeuwen, "On the construction
 of Huffman trees", ICALP 1976), O(n) over keys that are already sorted.
 Unsorted input is sorted first, stably, so equal values merge in input
-order; numeric.exact_sorted does that sort, on exact integer keys when the
-input holds rationals with a small common denominator. All-negative input
-is merged on magnitudes while its leaves keep their negative values. The
-merge writes into a tree.Schedule: the sorted values are its leaves, and
-each merge takes the next slot of its values list and index arrays.
+order; numeric.exact_sorted does that sort. The merge runs on exact int
+keys wherever they exist: ints are their own keys, and rationals with a
+small common denominator L (numeric.integer_scale) are keyed v * L, the
+scale the sort used. All-negative input is merged on magnitudes while its
+leaves keep their negative values. The merge writes into a tree.Schedule:
+the sorted values are its leaves, and each merge takes the next slot of
+its values list and index arrays. A merge slot holds its key during the
+merge and becomes its value, key / L with the sign restored, once at the
+end.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import List, Optional, Sequence
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
-from .numeric import Value, check_ascending, exact_sorted
+from .numeric import Value, check_ascending, exact_sorted, integer_scale
 from .tree import Schedule, without_gc
 
 
@@ -31,8 +35,9 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
     if not values:
         raise ValueError("cannot build a Huffman tree over an empty sequence")
     negative = values[0] < 0
+    scaled = integer_scale(values)
     # Ascending magnitudes; reverse=True keeps equal values in input order.
-    order = exact_sorted(values, reverse=negative)
+    order = exact_sorted(values, negative, scaled)
     # The head is the value nearest zero, so it settles the sign of all.
     if not (order[0] < 0 if negative else order[0] > 0):
         raise ValueError(
@@ -40,10 +45,30 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
         )
     s = Schedule.over(order)
     del order  # the schedule holds the leaves; free the sorted copy before the merge
-    if negative:
-        two_queue_merge(s, [-v for v in islice(s.values, len(values))])
+    n = len(values)
+    common, scale = scaled
+    # Keys are magnitudes, computed as the merge reads each leaf, so no key
+    # list lives beside the schedule; a negated scale keys negative rationals.
+    slots = s.values  # the leaves, then one slot per merge
+    if scale is not None:
+        if negative:
+            scale = {d: -k for d, k in scale.items()}
+        key = lambda i: (v := slots[i]).numerator * scale[v.denominator]
+    elif negative:
+        key = lambda i: -slots[i]
     else:
-        two_queue_merge(s)
+        key = None  # positive leaves without a scale are their own keys
+    two_queue_merge(s, key)
+    # Each merge slot holds its key and becomes key / L, negated for
+    # negative input; an integral value comes out as an int.
+    if common != 1:
+        unit = -common if negative else common
+        for k in range(n, len(slots)):
+            m = slots[k]
+            slots[k] = Fraction(m, unit) if m % unit else m // unit
+    elif negative:
+        for k in range(n, len(slots)):
+            slots[k] = -slots[k]
     return s
 
 
@@ -57,72 +82,70 @@ def build_huffman_sorted(values: Sequence[Value]) -> Schedule:
 
 
 def two_queue_merge(
-    s: Schedule, keys: Optional[List[Value]] = None, ids: Optional[Sequence[int]] = None
+    s: Schedule,
+    key: Optional[Callable[[int], Value]] = None,
+    ids: Optional[Sequence[int]] = None,
 ) -> None:
     """Huffman merge of n items over nondecreasing positive keys, in O(n),
     written to the last n - 1 merge slots of the schedule s.
 
-    ids[i] is the schedule id of the item keyed by keys[i], the leaves of
-    s in order when ids is None; merging two items keys the result by the
-    sum of their keys and gives it the sum of their values. Without keys,
-    the items are the leaves of s and their values are their keys. Input
-    items wait in one FIFO queue and merged items in another; both stay
-    nondecreasing, so the two smallest items are always at the queue
-    fronts. On ties the input queue wins, and the first item popped becomes
-    the left child. Without keys, the merged keys are written straight into
-    the merge slots of s, so the merge holds no list beside the schedule.
+    Item i has the key key(i) and the schedule id ids[i]. Without ids, the
+    items are the leaves of s in order; without key, each leaf's value is
+    its key. Merging two items keys the result by the sum of their keys,
+    and that key is written straight into the merge's value slot, so the
+    merge holds no list beside the schedule. Input items wait in one FIFO
+    queue and merged items in another; both stay nondecreasing, so the two
+    smallest items are always at the queue fronts. On ties the input queue
+    wins, and the first item popped becomes the left child. With ids, each
+    merge slot then gets the sum of its children's values. Without ids,
+    the slots keep their keys, and a caller whose keys are not the leaf
+    values turns each key into its value.
     """
     values, left, right = s.values, s.left, s.right
-    own_keys = keys is None
-    n = len(values) - len(left) if own_keys else len(keys)
+    keyed = ids is not None
+    n = len(ids) if keyed else len(values) - len(left)
+    if key is None:
+        key = values.__getitem__
     if n == 1:
         return
     slot = len(left) - (n - 1)  # the first merge slot written here
     first = len(values) - (n - 1)  # the id of the merge in that slot
-    if ids is None:
+    if not keyed:
         ids = range(n)
 
     # Queue fronts and keys are carried in locals to keep this O(n) pass
     # cheap in constant factors; an infinite key stands for an empty queue.
-    # Merged keys go to the merge slots of values when they are the merge
-    # values, and to a list of their own otherwise.
     inf = float("inf")
-    if own_keys:
-        keys = mkeys = values
-        mbase = first
-    else:
-        mkeys = [None] * (n - 1)
-        mbase = 0
     i = j = 0
-    lk = keys[0]
+    lk = key(0)
     mk = inf
     for k in range(n - 1):
         if lk <= mk:
             a = ids[i]
             ka = lk
             i += 1
-            lk = keys[i] if i < n else inf
+            lk = key(i) if i < n else inf
         else:
             a = first + j
             ka = mk
             j += 1
-            mk = mkeys[mbase + j] if j < k else inf
+            mk = values[first + j] if j < k else inf
         if lk <= mk:
             b = ids[i]
             kb = lk
             i += 1
-            lk = keys[i] if i < n else inf
+            lk = key(i) if i < n else inf
         else:
             b = first + j
             kb = mk
             j += 1
-            mk = mkeys[mbase + j] if j < k else inf
+            mk = values[first + j] if j < k else inf
         left[slot + k] = a
         right[slot + k] = b
-        mkeys[mbase + k] = key = ka + kb
+        values[first + k] = ab = ka + kb
         if mk is inf:
-            mk = key
-    if own_keys:
+            mk = ab
+    if not keyed:
         return
     # Each merge value is the sum of its children's, which come before it.
     leaves = first - slot

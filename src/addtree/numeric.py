@@ -3,9 +3,11 @@
 All planning and verification arithmetic runs on exact rationals so every
 bound check is an equality or a strict comparison, never a tolerance.
 Values are plain Python ``int`` where possible and ``fractions.Fraction``
-otherwise; both are exact and interoperate freely. ``exact_sorted`` orders
-them as ``sorted()`` does, comparing rationals on exact integer keys when
-their common denominator is small.
+otherwise; both are exact and interoperate freely. ``integer_scale``
+finds the common denominator L of a rational input when it is small, so
+that each value v has the exact int key v * L; ``exact_sorted`` orders
+values as ``sorted()`` does, comparing rationals on those keys, and the
+Huffman merge adds them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import islice
 from math import lcm
 from operator import attrgetter
 from sys import get_int_max_str_digits
-from typing import List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Value = Union[int, Fraction]
 
@@ -191,24 +193,23 @@ def check_ascending(x: Sequence[Value]) -> None:
         )
 
 
-def exact_sorted(values: Sequence[Value], reverse: bool = False) -> List[Value]:
-    """sorted(values, reverse=reverse): the same objects in the same order,
-    ties included, with rationals compared on exact integer keys.
+def integer_scale(values: Sequence[Value]) -> Tuple[int, Optional[Dict[int, int]]]:
+    """(L, scale), with scale[d] = L // d for each denominator d of values,
+    when values mixes ints and Fractions whose denominators have a least
+    common multiple L small next to the input; (1, None) otherwise.
 
-    Comparing two Fractions is a Python-level call, while ints compare in C.
-    When values mixes ints and Fractions whose denominators have a least
-    common multiple L with n * bits(L) at most twice the summed bits of
-    every numerator and denominator, each value v sorts on the int v * L,
-    which orders exactly as v does, and the sort's stability keeps equal
-    values in input order, as sorted() does. A larger L would make the keys
-    outgrow the input (the unit fractions 1/p over the first 5,000 primes
-    need a 69,675-bit L), so such input takes the plain sort, as does input
-    with no Fraction or with values of other types. Telling them apart is
-    one type scan over values, which on ints alone is the only extra work.
+    Each value v is then the exact int key v * L = v.numerator *
+    scale[v.denominator] over L. L is small when n * bits(L) is at most
+    twice the summed bits of every numerator and denominator. A larger L
+    would make the keys outgrow the input (the unit fractions 1/p over the
+    first 5,000 primes need a 69,675-bit L), so such input gets no scale,
+    nor does input with no Fraction or with values of other types. Telling
+    them apart is one type scan over values, which on ints alone is the
+    only work done.
     """
     types = {*map(type, values)}
     if Fraction not in types or not types <= {int, Fraction}:
-        return sorted(values, reverse=reverse)
+        return 1, None
     numerator, denominator = attrgetter("numerator"), attrgetter("denominator")
     budget = 2 * (
         sum(map(int.bit_length, map(numerator, values)))
@@ -219,8 +220,27 @@ def exact_sorted(values: Sequence[Value], reverse: bool = False) -> List[Value]:
     for d in distinct:
         common = lcm(common, d)
         if n * common.bit_length() > budget:
-            return sorted(values, reverse=reverse)
-    # v * common = numerator * (common // denominator), with one division
-    # per distinct denominator.
-    scale = {d: common // d for d in distinct}
+            return 1, None
+    # One division per distinct denominator.
+    return common, {d: common // d for d in distinct}
+
+
+def exact_sorted(
+    values: Sequence[Value],
+    reverse: bool = False,
+    scaled: Optional[Tuple[int, Optional[Dict[int, int]]]] = None,
+) -> List[Value]:
+    """sorted(values, reverse=reverse): the same objects in the same order,
+    ties included, with rationals compared on exact integer keys.
+
+    Comparing two Fractions is a Python-level call, while ints compare in C.
+    When integer_scale(values) gives a scale, each value v sorts on the int
+    v * L, which orders exactly as v does, and the sort's stability keeps
+    equal values in input order, as sorted() does; otherwise the values
+    take the plain sort. A caller that needs the scale as well passes
+    integer_scale(values) as scaled, so the values are scanned once.
+    """
+    _, scale = scaled or integer_scale(values)
+    if scale is None:
+        return sorted(values, reverse=reverse)
     return sorted(values, key=lambda v: v.numerator * scale[v.denominator], reverse=reverse)

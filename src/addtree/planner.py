@@ -182,7 +182,8 @@ def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
     keyed = sorted(zip(keys, roots), key=itemgetter(0))
-    two_queue_merge(s, [key for key, _ in keyed], [root for _, root in keyed])
+    keys = [key for key, _ in keyed]
+    two_queue_merge(s, keys.__getitem__, [root for _, root in keyed])
     return s
 
 

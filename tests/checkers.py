@@ -6,7 +6,8 @@ enumerate_trees lists every one of the (2n-3)!! addition trees over n
 leaves, independently of the subset DP in addtree.oracle, and
 brute_force_matching tries every critical matching. fl_add is one rounded
 addition on addtree.fpsim.round_to_precision, so a per-operation check
-through it still tests the library's rounding.
+through it still tests the library's rounding. check_schedule checks the
+invariants of a flat merge schedule one merge at a time.
 """
 
 from itertools import combinations, permutations
@@ -16,7 +17,7 @@ from addtree.fpsim import Precision, round_to_precision
 from addtree.hardness import ThreePartitionInstance
 from addtree.numeric import Value
 from addtree.oracle import CapExceededError
-from addtree.tree import AdditionTree, Internal, Leaf, nodes
+from addtree.tree import AdditionTree, Internal, Leaf, Schedule, nodes
 
 
 def brute_force_matching(x: Sequence[Value]) -> Value:
@@ -86,6 +87,26 @@ def enumerate_trees(x: Sequence[Value]) -> Iterator[AdditionTree]:
             sub = (sub - 1) & rest
 
     yield from gen((1 << n) - 1)
+
+
+def check_schedule(s: Schedule) -> None:
+    """Assert that s is a well-formed schedule of one tree: every child
+    comes before its merge, every node except the root is a child exactly
+    once, and every merge value is exactly the sum of its children's."""
+    values, left, right = s.values, s.left, s.right
+    merges = len(left)
+    n = len(values) - merges
+    assert n >= 1 and len(right) == merges, (n, merges, len(right))
+    parents = [0] * len(values)
+    for k, a, b in zip(range(merges), left, right):
+        node = n + k
+        assert 0 <= a < node and 0 <= b < node, f"merge {node} has children {a}, {b}"
+        parents[a] += 1
+        parents[b] += 1
+        assert values[node] == values[a] + values[b], f"merge {node} is not its children's sum"
+    # Children come first, so the root, the last node, is nobody's child.
+    wrong = [i for i, count in enumerate(parents[:-1]) if count != 1]
+    assert not wrong, f"nodes that are not a child exactly once: {wrong[:10]}"
 
 
 def leaf_values(tree: AdditionTree) -> list:
