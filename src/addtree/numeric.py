@@ -221,7 +221,6 @@ def integer_scale(values: Sequence[Value]) -> Tuple[int, Optional[Dict[int, int]
         common = lcm(common, d)
         if n * common.bit_length() > budget:
             return 1, None
-    # One division per distinct denominator.
     return common, {d: common // d for d in distinct}
 
 

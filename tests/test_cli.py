@@ -302,8 +302,8 @@ def test_read_values_across_real_batches(tmp_path):
 
 
 def test_read_values_returns_an_exact_size_list(tmp_path):
-    # Extended batch by batch, the list kept about 12 % of growth slack
-    # into planning; the values come back in a list of exactly their length.
+    # A list extended batch by batch keeps CPython's growth slack, which
+    # planning would carry; the values come back in an exact-size list.
     path = write(tmp_path, "batches.txt", batched_file())
     values = read_values(path)
     assert sys.getsizeof(values) == sys.getsizeof([None] * len(values))
