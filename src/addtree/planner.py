@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .huffman import build_huffman, two_queue_merge
 from .matching import minimum_critical_matching, split_by_sign
 from .numeric import Value, as_value, check_ascending, format_value
-from .oracle import optimal_cost_dp
+from .oracle import check_oracle_cap, optimal_cost_dp
 from .tree import (
     AdditionTree,
     Schedule,
@@ -225,7 +225,8 @@ def plan(
     """Run the named strategy and assemble a report.
 
     alpha defaults to 2^-53 (IEEE double roundoff). with_oracle also runs
-    the exact solver and records the observed cost ratio. presorted=True
+    the exact solver and records the observed cost ratio; an input over
+    oracle_cap then fails before any planning starts. presorted=True
     promises that x is sorted ascending; it is checked for every strategy
     and selects no other code path.
     """
@@ -236,6 +237,8 @@ def plan(
         check_ascending(x)
     alpha = check_alpha(alpha)
     n = len(x)
+    if with_oracle:
+        check_oracle_cap(n, oracle_cap)
     guarantee: Optional[Value] = None
     optimal: Optional[Value] = None
 

@@ -468,6 +468,18 @@ def test_oracle_cap_exit_3(tmp_path, capsys):
     assert code == 3 and "cap" in err
 
 
+def test_plan_with_oracle_over_the_cap_exits_3_before_planning(tmp_path, capsys, monkeypatch):
+    def planner_ran(*args):
+        raise AssertionError("planned an input over the oracle cap")
+
+    monkeypatch.setattr(planner, "build_huffman", planner_ran)
+    path = write(tmp_path, "big.txt", "".join(f"{i}\n" for i in range(1, 22)))
+    code, out, err = run(capsys, "plan", "--strategy", "huffman", "--with-oracle", path)
+    assert (code, out) == (3, "")
+    assert err == "oracle cap: oracle capped at 20 elements, got 21\n"
+    assert run(capsys, "oracle", path) == (code, out, err)
+
+
 def test_reduce_command(tmp_path, capsys):
     path = write(tmp_path, "par1.txt", "15 1\n4 5 6\n")
     prefix = str(tmp_path / "out")

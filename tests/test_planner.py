@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addtree import planner
 from addtree.matching import minimum_critical_matching, split_by_sign
-from addtree.oracle import optimal_cost_dp
+from addtree.oracle import CapExceededError, optimal_cost_dp
 from addtree.planner import (
     STRATEGIES,
     default_group_parameter,
@@ -204,6 +205,20 @@ def test_plan_with_oracle_ratio():
     assert report.optimal_cost == 6
     assert report.observed_ratio == 1
     assert report.observed_ratio <= report.guarantee_factor
+
+
+@pytest.mark.parametrize("strategy", ["critical", "huffman"])
+def test_plan_with_oracle_checks_the_cap_before_planning(monkeypatch, strategy):
+    def planner_ran(*args):
+        raise AssertionError("planned an input over the oracle cap")
+
+    monkeypatch.setattr(planner, "plan_general", planner_ran)
+    monkeypatch.setattr(planner, "build_huffman", planner_ran)
+    x = [-21] + list(range(1, 21)) if strategy == "critical" else list(range(1, 22))
+    with pytest.raises(CapExceededError, match="oracle capped at 20 elements, got 21"):
+        plan(x, strategy, with_oracle=True)
+    with pytest.raises(CapExceededError, match="oracle capped at 3 elements, got 4"):
+        plan([1, 2, 3, 4], strategy, with_oracle=True, oracle_cap=3)
 
 
 def test_plan_report_json():
