@@ -55,9 +55,9 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = 20) -> OptimalResult:
 
     Time is exponential in |x| (about 3^n / 2 split visits); cap guards
     against accidental blowups. Memory is the 2^n f values in 2^(n-b)
-    rows, the two half tables of sums, and the current L's gathers: one
-    pair of short lists per row, at most 2^n references to f values in
-    all, and no ints of their own.
+    rows, the two half tables of sums, and the current L's gathers: a
+    list and a tuple per row, which hold at most 2^n references to f
+    values in all and no ints of their own.
 
     Order: a proper submask H' << b | L' of H << b | L has L' a submask
     of L and H' a submask of H. If L' != L, then L' < L, so the outer loop

@@ -1,9 +1,10 @@
 """The half-mask subset DP against the choice-table reference.
 
 optimal_cost_dp splits each mask into a high and a low half at
-b = (n + 1) // 2 bits and fills f row by row. Every n from 1 to 13 gives
-each split width, odd and even n, and the rows where one half is empty.
-Reduction-shaped input adds repeated values on both sides of the split.
+b = (n + 1) // 2 bits and keeps f in rows indexed by the high half.
+Every n from 1 to 13 gives each split width, odd and even n, and the
+rows where one half is empty. Reduction-shaped input adds repeated
+values on both sides of the split.
 """
 
 import random
