@@ -149,7 +149,9 @@ def _getter(keys: List[int]) -> itemgetter:
     return itemgetter(*keys)
 
 
-def _rebuild(mask: int, x: Sequence[Value], rows: list, high: list, low: list, b: int) -> AdditionTree:
+def _rebuild(
+    mask: int, x: Sequence[Value], rows: list, high: list, low: list, b: int
+) -> AdditionTree:
     """The witness subtree over mask, from the DP's rows and half sums.
 
     A module function, not a closure: a recursive closure is a reference
@@ -157,14 +159,14 @@ def _rebuild(mask: int, x: Sequence[Value], rows: list, high: list, low: list, b
     """
     if mask & (mask - 1) == 0:
         return Leaf(x[mask.bit_length() - 1])
-    lo = len(low) - 1
+    lmask = len(low) - 1  # the low half of a mask
     lsb = mask & -mask
     rest = mask ^ lsb
-    target = rows[mask >> b][mask & lo] - abs(high[mask >> b] + low[mask & lo])
+    target = rows[mask >> b][mask & lmask] - abs(high[mask >> b] + low[mask & lmask])
     sub = 0  # submasks of rest in increasing order: the smallest optimal A
     while True:
         a = sub | lsb
         c = rest ^ sub
-        if rows[a >> b][a & lo] + rows[c >> b][c & lo] == target:
+        if rows[a >> b][a & lmask] + rows[c >> b][c & lmask] == target:
             return Internal(_rebuild(a, x, rows, high, low, b), _rebuild(c, x, rows, high, low, b))
         sub = (sub - rest) & rest
