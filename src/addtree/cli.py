@@ -31,11 +31,11 @@ import os
 import sys
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import fpsim, hardness, planner, tree
 from .numeric import ParseError, Value, format_value, parse_value, parse_values, uncommented_lines
-from .oracle import CapExceededError
+from .oracle import DEFAULT_CAP, CapExceededError, check_oracle_cap
 
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
@@ -80,9 +80,23 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def read_values(path: str) -> List[Value]:
+def _batches(text: str) -> Iterator[str]:
+    """text cut at line ends into pieces of about READ_BATCH characters."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + READ_BATCH)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
+def read_values(path: str, cap: Optional[int] = None) -> List[Value]:
     """The values of the file, one per non-blank line after '#' comments
     are cut, each exactly what parse_value gives for its line.
+
+    With a cap, the value lines are counted first, and a file with more
+    than cap of them raises CapExceededError before any is parsed.
 
     The text is cut at line ends into batches of about READ_BATCH
     characters, and each batch's tokens convert at once
@@ -93,13 +107,14 @@ def read_values(path: str) -> List[Value]:
     exactly as long as the values, with no growth slack.
     """
     text = _read_text(path)
+    if cap is not None:
+        lines = 0
+        for batch in _batches(text):
+            lines += sum(map(bool, map(str.strip, uncommented_lines(batch))))
+        check_oracle_cap(lines, cap)
     values: List[Value] = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + READ_BATCH)
-        if end < 0:
-            end = len(text)
-        tokens = list(filter(None, map(str.strip, uncommented_lines(text[start:end]))))
+    for batch in _batches(text):
+        tokens = list(filter(None, map(str.strip, uncommented_lines(batch))))
         try:
             values += parse_values(tokens)
         except ParseError as exc:
@@ -110,7 +125,6 @@ def read_values(path: str) -> List[Value]:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         # Dropped before the next batch is split, not when it is rebound.
         del tokens
-        start = end + 1
     if not values:
         raise ValueError(f"{path}: no values found")
     del text
@@ -144,7 +158,7 @@ def _check_t(args) -> None:
 
 
 def cmd_plan(args) -> int:
-    values = read_values(args.input)
+    values = read_values(args.input, cap=DEFAULT_CAP if args.with_oracle else None)
     alpha = args.alpha
     if alpha is not None:
         alpha = _option("--alpha", lambda a: planner.check_alpha(parse_value(a)), alpha)
@@ -173,7 +187,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    values = read_values(args.input)
+    values = read_values(args.input, cap=args.cap)
     report = planner.plan(values, "optimal", oracle_cap=args.cap)
     if args.output == "sexpr":
         _write_stdout(tree.serialize(report.schedule))
@@ -259,7 +273,7 @@ def build_parser() -> _Parser:
 
     p_oracle = sub.add_parser("oracle", help="exact optimal cost (exponential time)")
     p_oracle.add_argument("input")
-    p_oracle.add_argument("--cap", type=int, default=20)
+    p_oracle.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_oracle.add_argument("--output", choices=("json", "sexpr"), default="json")
     p_oracle.set_defaults(func=cmd_oracle)
 

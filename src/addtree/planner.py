@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .huffman import build_huffman, two_queue_merge
 from .matching import minimum_critical_matching, split_by_sign
 from .numeric import Value, as_value, check_ascending, format_value
-from .oracle import check_oracle_cap, optimal_cost_dp
+from .oracle import DEFAULT_CAP, check_oracle_cap, optimal_cost_dp
 from .tree import (
     AdditionTree,
     Schedule,
@@ -219,7 +219,7 @@ def plan(
     t: Optional[int] = None,
     alpha: Value = None,
     with_oracle: bool = False,
-    oracle_cap: int = 20,
+    oracle_cap: int = DEFAULT_CAP,
     presorted: bool = False,
 ) -> PlanReport:
     """Run the named strategy and assemble a report.

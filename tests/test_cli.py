@@ -480,6 +480,25 @@ def test_plan_with_oracle_over_the_cap_exits_3_before_planning(tmp_path, capsys,
     assert run(capsys, "oracle", path) == (code, out, err)
 
 
+@pytest.mark.parametrize("batch", [8, cli.READ_BATCH])
+def test_over_the_cap_exits_3_before_parsing(tmp_path, capsys, monkeypatch, batch):
+    # The value lines (non-blank once '#' comments are cut) are counted
+    # before any is parsed, in batches, so a file over the cap never reaches
+    # the parser, and a malformed one exits 3 as well.
+    def parser_ran(tokens):
+        raise AssertionError("parsed an input over the oracle cap")
+
+    monkeypatch.setattr(cli, "READ_BATCH", batch)
+    monkeypatch.setattr(cli, "parse_values", parser_ran)
+    text = "".join(f"{i}  # value {i}\n \n" for i in range(1, 22)) + "# 22\nx"
+    path = write(tmp_path, "big.txt", text)
+    expected = (3, "", "oracle cap: oracle capped at 21 elements, got 22\n")
+    assert run(capsys, "oracle", "--cap", "21", path) == expected
+    expected = (3, "", "oracle cap: oracle capped at 20 elements, got 22\n")
+    assert run(capsys, "plan", "--with-oracle", path) == expected
+    assert run(capsys, "oracle", path) == expected
+
+
 def test_reduce_command(tmp_path, capsys):
     path = write(tmp_path, "par1.txt", "15 1\n4 5 6\n")
     prefix = str(tmp_path / "out")

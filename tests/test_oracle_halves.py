@@ -1,19 +1,23 @@
-"""The half-mask subset DP against the choice-table reference.
+"""The submultiset DP over half rows against the choice-table reference.
 
-optimal_cost_dp splits each mask into a high and a low half at
-b = (n + 1) // 2 bits and keeps f in rows indexed by the high half.
-Every n from 1 to 13 gives each split width, odd and even n, and the
-rows where one half is empty. Reduction-shaped input adds repeated
-values on both sides of the split.
+optimal_cost_dp indexes submultisets in mixed radix, one digit per
+distinct value, splits the digits into a low and a high group and keeps f
+in rows indexed by the high group. On distinct input the index is a
+bitmask split at b = (n + 1) // 2 bits: every n from 1 to 13 gives each
+split width, odd and even n, and the rows where one half is empty.
+Repeated values give digits above 1, on either side of the split, and
+reduction-shaped input repeats two values m times each.
 """
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from addtree.hardness import ThreePartitionInstance, reduce_to_addition_tree
 from addtree.oracle import optimal_cost_dp
+from addtree.tree import Leaf, nodes
 from test_oracle_reference import assert_same
 
 
@@ -32,12 +36,67 @@ def test_dp_matches_reference_at_every_n(n):
         ((5,) * 6, 15),
         ((7, 8, 9, 7, 8, 9), 24),
         ((7, 7, 7, 9, 9, 9), 24),
+        ((6, 6, 9, 6, 6, 9), 21),
     ],
 )
 def test_dp_matches_reference_on_reductions(b, k):
     x = list(reduce_to_addition_tree(ThreePartitionInstance(b=b, k=k)).x)
     assert_same(x)
     assert_same(x[::-1])  # the repeated values in the other half
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        # Five values twice each: three types in the low group, two in the high.
+        [5, 5, -3, -3, 7, 7, -2, -2, 4, 4],
+        [5, -3, 7, -2, 4, 4, -2, 7, -3, 5],
+        # Counts 4 and 3 beside single values, and counts 6 and 5.
+        [2, -3, 2, 5, -3, 2, -1, -3, 2],
+        [-1] * 6 + [1] * 5,
+        [3] * 7,  # one type: the high group is empty
+        # Repeated rationals over the common scale 4; 1 and 4/4 are one type.
+        [
+            Fraction(1, 2),
+            Fraction(-3, 4),
+            Fraction(1, 2),
+            Fraction(2, 4),
+            Fraction(-3, 4),
+            1,
+            Fraction(4, 4),
+            Fraction(-5, 4),
+        ],
+    ],
+)
+def test_dp_matches_reference_on_multisets(x):
+    assert_same(x)
+    assert_same(x[::-1])
+
+
+def test_witness_leaves_are_the_inputs_own_objects():
+    # Equal values here are distinct objects; the witness holds each once.
+    x = [Fraction(3, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2)]
+    x += [int("7" + "0" * 20), int("7" + "0" * 20), -1]
+    witness = optimal_cost_dp(x).witness
+    leaves = [node.value for node in nodes(witness) if isinstance(node, Leaf)]
+    assert sorted(map(id, leaves)) == sorted(map(id, x))
+
+
+def test_dp_peak_memory_on_small_values_at_14():
+    # Six distinct values, so the DP runs over a few hundred submultisets,
+    # not 2^14 subsets. A subset DP that kept all 2^14 subset sums in one
+    # table, which for sums this small holds CPython's cached ints and costs
+    # only its pointers, peaked at 271,008 bytes on this input; the subset
+    # DP over half-mask rows at 424,112.
+    rng = random.Random(14)
+    x = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(14)]
+    tracemalloc.start()
+    try:
+        optimal_cost_dp(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 271_008, f"peak {peak} bytes"
 
 
 def test_dp_peak_memory_at_13():
