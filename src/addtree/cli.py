@@ -9,8 +9,9 @@ closed before the report is written, input too large
 to process: MemoryError or RecursionError, a number too large for an int
 operation: OverflowError, such as a `simulate --precision` too large to
 shift by, whose message names the option, or a result too long to print
-under sys.get_int_max_str_digits()), 3 oracle size cap. A failure prints
-one line on stderr and no traceback.
+under sys.get_int_max_str_digits()), 3 oracle size cap, which `plan
+--with-oracle` and `oracle` check on the count of value lines before they
+parse any. A failure prints one line on stderr and no traceback.
 
 A report is rendered in full before its first byte is written, so a
 failure while rendering leaves stdout empty. _write_stdout then writes the
@@ -31,7 +32,7 @@ import os
 import sys
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from . import fpsim, hardness, planner, tree
 from .numeric import ParseError, Value, format_value, parse_value, parse_values, uncommented_lines
@@ -80,14 +81,16 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _batches(text: str) -> Iterator[str]:
-    """text cut at line ends into pieces of about READ_BATCH characters."""
+def _batches(text: str) -> Iterator[Tuple[int, int]]:
+    """The (start, end) of each piece of text when it is cut at line ends
+    into pieces of about READ_BATCH characters. Each caller slices its own
+    piece, so the piece's text is freed as soon as it is split."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + READ_BATCH)
         if end < 0:
             end = len(text)
-        yield text[start:end]
+        yield start, end
         start = end + 1
 
 
@@ -109,12 +112,12 @@ def read_values(path: str, cap: Optional[int] = None) -> List[Value]:
     text = _read_text(path)
     if cap is not None:
         lines = 0
-        for batch in _batches(text):
-            lines += sum(map(bool, map(str.strip, uncommented_lines(batch))))
+        for start, end in _batches(text):
+            lines += sum(map(bool, map(str.strip, uncommented_lines(text[start:end]))))
         check_oracle_cap(lines, cap)
     values: List[Value] = []
-    for batch in _batches(text):
-        tokens = list(filter(None, map(str.strip, uncommented_lines(batch))))
+    for start, end in _batches(text):
+        tokens = list(filter(None, map(str.strip, uncommented_lines(text[start:end]))))
         try:
             values += parse_values(tokens)
         except ParseError as exc:
