@@ -83,8 +83,8 @@ def test_witness_leaves_are_the_inputs_own_objects():
 
 
 def test_dp_peak_memory_on_small_values_at_14():
-    # Six distinct values, so the DP runs over a few hundred submultisets,
-    # not 2^14 subsets. A subset DP that kept all 2^14 subset sums in one
+    # Six distinct values, so the DP runs over 864 submultisets, not 2^14
+    # subsets. A subset DP that kept all 2^14 subset sums in one
     # table, which for sums this small holds CPython's cached ints and costs
     # only its pointers, peaked at 271,008 bytes on this input; the subset
     # DP over half-mask rows at 424,112.
