@@ -26,11 +26,11 @@ inner loop, both ascending. For each L the f values of its sub-indices are
 gathered out of every row at once, and each index's split minimum is one
 C-level map over those gathers (itertools.chain and operator.add), not a
 bytecode loop per split. Sums are high[H] + low[L], from the two groups'
-tables. No choice table is kept: the witness tree is rebuilt from the top,
-over bitmasks of x's positions, by finding for each of its n - 1 internal
-nodes a split whose parts' f values sum to f(S) - |sum(S)|; of those, the
-one whose part A (the part holding S's lowest position) has the smallest
-bitmask is taken.
+tables. No choice table is kept: the witness is rebuilt from the top into
+a merge schedule, leaves left to right and merges in post-order, over
+bitmasks of x's positions, by finding for each of its n - 1 merges a split
+whose parts' f values sum to f(S) - |sum(S)|; of those, the one whose part
+A (the part holding S's lowest position) has the smallest bitmask is taken.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
 from typing import List, Sequence, Tuple
 
 from .numeric import Value, as_value
-from .tree import AdditionTree, Internal, Leaf
+from .tree import Schedule
 
 
 # The size cap of the oracle unless a caller sets another: at n = 20 the
@@ -59,10 +59,10 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """The exact minimum cost of an addition tree over x, and one tree attaining it."""
+    """The exact minimum cost over x, and the schedule of a tree attaining it."""
 
     optimal_cost: Value
-    witness: AdditionTree
+    witness: Schedule
 
 
 def check_oracle_cap(n: int, cap: int) -> None:
@@ -72,7 +72,7 @@ def check_oracle_cap(n: int, cap: int) -> None:
 
 
 def optimal_cost_dp(x: Sequence[Value], cap: int = DEFAULT_CAP) -> OptimalResult:
-    """Exact minimum cost and a witness tree, via the submultiset DP.
+    """Exact minimum cost and a witness schedule, via the submultiset DP.
 
     Time is exponential in |x|: of the prod_t (c_t + 1)(c_t + 2)/2 pairs
     of a submultiset S and a part A of it, about half are visited as
@@ -166,18 +166,13 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = DEFAULT_CAP) -> OptimalResult
     # sum of its positions' type weights, read from two half tables.
     weight = dict(zip(counts, place))
     b = (n + 1) // 2
-    cells = (
-        b,
-        _digit_sums([(weight[v], 1) for v in vals[:b]]),
-        _digit_sums([(weight[v], 1) for v in vals[b:]]),
-        width,
-    )
+    lo = _digit_sums([(weight[v], 1) for v in vals[:b]])
+    hi = _digit_sums([(weight[v], 1) for v in vals[b:]])
     table = list(chain.from_iterable(rows))  # f of index H * width + L
     del rows
-    return OptimalResult(
-        optimal_cost=as_value(Fraction(table[-1], scale)),
-        witness=_rebuild((1 << n) - 1, x, table, high, low, cells),
-    )
+    witness = Schedule.over(repeat(None, n))
+    _rebuild((1 << n) - 1, 0, 0, witness, (x, table, high, low, b, lo, hi, width))
+    return OptimalResult(as_value(Fraction(table[-1], scale)), witness)
 
 
 def _digit_sums(terms: List[Tuple[int, int]]) -> List[int]:
@@ -226,33 +221,40 @@ def _getter(keys: List[int]) -> itemgetter:
     return itemgetter(*keys)
 
 
-def _rebuild(
-    mask: int, x: Sequence[Value], table: list, high: list, low: list, cells: tuple
-) -> AdditionTree:
-    """The witness subtree over mask, a bitmask of x's positions, from the
-    DP's f values by index and its sums. cells = (b, lo, hi, width): mask
-    picks the submultiset of index lo[its low b bits] + hi[the rest], whose
-    sum is high[index // width] + low[index % width].
+def _rebuild(mask: int, p: int, q: int, s: Schedule, dp: tuple) -> int:
+    """Write the witness subtree over mask, a bitmask of x's positions, into
+    s, its leaves from slot p on and its merges in post-order from merge
+    slot q on, and return its root's id. dp = (x, table, high, low, b, lo,
+    hi, width): mask picks the index lo[its low b bits] + hi[the rest],
+    whose f is table[index] and sum high[index // width] + low[index % width].
 
     A module function, not a closure: a recursive closure is a reference
     cycle, which would keep the table alive until the cyclic GC ran.
     """
+    x, table, high, low, b, lo, hi, width = dp
+    values = s.values
     if mask & (mask - 1) == 0:
-        return Leaf(x[mask.bit_length() - 1])
-    b, lo, hi, width = cells
+        values[p] = x[mask.bit_length() - 1]
+        return p
     low_bits = (1 << b) - 1
     index = lo[mask & low_bits] + hi[mask >> b]
-    H, L = divmod(index, width)
-    target = table[index] - abs(high[H] + low[L])
+    target = table[index] - abs(high[index // width] + low[index % width])
     lsb = mask & -mask
     rest = mask ^ lsb
     sub = 0  # submasks of rest in increasing order: the smallest optimal A
-    while True:
+    while sub != rest:  # A = mask would leave S - A empty
         a = sub | lsb
         part = lo[a & low_bits] + hi[a >> b]
         if table[part] + table[index - part] == target:  # S - A has index - part
-            return Internal(
-                _rebuild(a, x, table, high, low, cells),
-                _rebuild(rest ^ sub, x, table, high, low, cells),
-            )
+            break
         sub = (sub - rest) & rest
+    else:
+        raise RuntimeError(f"no split of submultiset {index} attains its f value")
+    size = a.bit_count()
+    left = _rebuild(a, p, q, s, dp)
+    right = _rebuild(rest ^ sub, p + size, q + size - 1, s, dp)
+    k = q + mask.bit_count() - 2  # this subtree's own merge slot
+    s.left[k], s.right[k] = left, right
+    k += len(x)  # and its node id
+    values[k] = values[left] + values[right]
+    return k

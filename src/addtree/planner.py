@@ -13,12 +13,12 @@ Strategies:
   ceil(log2 log2 n)-factor guarantee in O(n) time even unsorted.
 * ``optimal``   -- exact oracle, exponential time, small n only.
 
-Every planner returns its tree as a flat merge schedule (tree.Schedule):
-the balanced rounds and the two-queue Huffman merge write their merges
-into one values list and two index arrays, the critical planner's leaves
-are slices of the matching's sorted sides, and the report's cost and
-rendering read that schedule. The Leaf/Internal view (PlanReport.tree) is built only when
-a caller reads it.
+Every planner, the exact oracle included, returns its tree as a flat merge
+schedule (tree.Schedule): the balanced rounds and the two-queue Huffman
+merge write their merges into one values list and two index arrays, the
+critical planner's leaves are slices of the matching's sorted sides, and
+the report's cost and rendering read that schedule. The Leaf/Internal
+view (PlanReport.tree) is built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .tree import (
     Schedule,
     build_balanced,
     cost,
-    flatten,
     pair_round,
     pair_rounds,
     serialize,
@@ -259,8 +258,7 @@ def plan(
         guarantee = 1 + t
     else:  # optimal
         result = optimal_cost_dp(x, cap=oracle_cap)
-        schedule = flatten(result.witness)
-        optimal = result.optimal_cost
+        schedule, optimal = result.witness, result.optimal_cost
         guarantee = 1
 
     if with_oracle and optimal is None:

@@ -146,7 +146,7 @@ def test_oracle_tables_free_without_a_collection():
         assert gc.collect() == 0
     finally:
         gc.enable() if was_enabled else gc.disable()
-    assert result.witness.value == 22
+    assert result.witness.values[-1] == 22
 
 
 def test_triple_partition_search_leaves_no_garbage():

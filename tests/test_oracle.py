@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from addtree.huffman import build_huffman
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.oracle import CapExceededError, optimal_cost_dp
-from addtree.tree import Leaf, cost, serialize
+from addtree.tree import cost, serialize
 from checkers import double_factorial_tree_count, enumerate_trees, leaf_values
 
 
@@ -26,15 +26,15 @@ def test_one_element_goes_through_the_dp():
     for x in ([Fraction(1, 3)], [-5]):
         result = optimal_cost_dp(x)
         assert result.optimal_cost == 0 and type(result.optimal_cost) is int
-        assert type(result.witness) is Leaf and result.witness == Leaf(x[0])
-        assert type(result.witness.value) is type(x[0])
+        assert result.witness.values == [x[0]] and not result.witness.left
+        assert type(result.witness.values[0]) is type(x[0])
 
 
 def test_witness_invariants():
     x = [3, -7, 11, -2, 5]
     result = optimal_cost_dp(x)
     assert cost(result.witness) == result.optimal_cost
-    assert result.witness.value == sum(x)
+    assert result.witness.values[-1] == sum(x)
     assert sorted(leaf_values(result.witness)) == sorted(x)
 
 
@@ -50,7 +50,7 @@ def test_dp_cap():
 def test_dp_handles_rationals():
     x = [Fraction(1, 10), Fraction(2, 10), Fraction(-1, 5)]
     result = optimal_cost_dp(x)
-    assert result.witness.value == Fraction(1, 10)
+    assert result.witness.values[-1] == Fraction(1, 10)
     assert result.optimal_cost == cost(result.witness)
 
 

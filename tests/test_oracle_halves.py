@@ -11,10 +11,12 @@ reduction-shaped input repeats two values m times each.
 
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
+from addtree import oracle
 from addtree.hardness import ThreePartitionInstance, reduce_to_addition_tree
 from addtree.oracle import optimal_cost_dp
 from addtree.tree import Leaf, nodes
@@ -80,6 +82,21 @@ def test_witness_leaves_are_the_inputs_own_objects():
     witness = optimal_cost_dp(x).witness
     leaves = [node.value for node in nodes(witness) if isinstance(node, Leaf)]
     assert sorted(map(id, leaves)) == sorted(map(id, x))
+
+
+def test_inconsistent_table_fails_the_rebuild(monkeypatch):
+    # A _halves that drops the middle run for even digits misses splits,
+    # so some f values are too high and no split of the whole input sums
+    # to its f. The rebuild's submask walk is bounded, so it raises
+    # instead of cycling through the submasks forever.
+    def dropped_middle_run(index, subs, places):
+        d = index // places[bisect_right(places, index) - 1]
+        cut = len(subs) // (d + 1) * (d // 2 + 1)
+        return subs[cut:], subs[len(subs) - cut - 1 :: -1]
+
+    monkeypatch.setattr(oracle, "_halves", dropped_middle_run)
+    with pytest.raises(RuntimeError, match="no split of submultiset"):
+        optimal_cost_dp([1, 1, 2, 2])
 
 
 def test_dp_peak_memory_on_small_values_at_14():

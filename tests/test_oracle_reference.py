@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from addtree.numeric import as_value
 from addtree.oracle import optimal_cost_dp
 from addtree.tree import Internal, Leaf, serialize
+from checkers import check_schedule
 
 
 def reference_dp(x):
@@ -70,6 +71,7 @@ def assert_same(x):
     result = optimal_cost_dp(x)
     assert result.optimal_cost == expected_cost
     assert serialize(result.witness) == serialize(expected_witness)
+    check_schedule(result.witness)
 
 
 # Magnitudes 1-3 of either sign, so many subsets tie in sum and many
