@@ -11,7 +11,7 @@ exact optimum.
 
 import random
 
-from addtree import cost, depth, plan, serialize
+from addtree import depth, plan, serialize
 
 rng = random.Random(42)
 
@@ -25,11 +25,11 @@ for strategy in ("balanced", "huffman", "grouped"):
     print(
         f"{strategy:>8}: cost {report.cost:>5}  "
         f"optimal {report.optimal_cost}  ratio {float(report.observed_ratio):.3f}  "
-        f"depth {depth(report.tree)}"
+        f"depth {depth(report.schedule)}"
     )
 
 # The Huffman tree puts small values deep and large values shallow:
-print("huffman tree:", serialize(plan(x, "huffman").tree))
+print("huffman tree:", serialize(plan(x, "huffman").schedule))
 
 # --- Mixed-sign input: pair up near-cancellations first -------------------
 
@@ -48,5 +48,5 @@ print(f"balanced: cost {naive.cost} (no matching, cancellation wasted)")
 # --- Scaling: the grouped planner is linear-time ---------------------------
 
 big = [rng.randint(1, 10**6) for _ in range(200_000)]
-tree = plan(big, "grouped").tree
-print(f"\ngrouped plan over {len(big)} values: cost has {len(str(cost(tree)))} digits")
+report = plan(big, "grouped")
+print(f"\ngrouped plan over {len(big)} values: cost has {len(str(report.cost))} digits")

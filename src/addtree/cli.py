@@ -175,13 +175,12 @@ def cmd_plan(args) -> int:
         presorted=args.sorted,
     )
     # Drop each stage's input as soon as the next stage holds what it needs.
-    n = len(values)
     del values
     if args.output == "sexpr":
         text = tree.serialize(report.schedule)
         del report
     else:
-        payload = report.to_json_dict(n)
+        payload = report.to_json_dict()
         del report
         text = json.dumps(payload, indent=2)
         del payload
@@ -302,9 +301,10 @@ def build_parser() -> _Parser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command and return its exit code. The command itself runs
-    with the cyclic GC paused: every structure a command builds is acyclic
-    and is freed by reference counting, so a collection would only scan
-    the new tree. Parsing the arguments runs with the GC as it was (argparse
+    with the cyclic GC paused: nothing a command builds holds a reference
+    cycle, so everything is freed by reference counting, and a collection
+    would only scan the Fractions, view nodes and oracle gathers it
+    allocates. Parsing the arguments runs with the GC as it was (argparse
     leaves reference cycles behind), and the GC state is restored on return."""
     parser = build_parser()
     try:

@@ -19,7 +19,7 @@ end.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .numeric import Value, check_ascending, exact_sorted, integer_scale
 from .tree import Schedule, without_gc
@@ -57,8 +57,8 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
     elif negative:
         key = lambda i: -slots[i]
     else:
-        key = None  # positive leaves without a scale are their own keys
-    two_queue_merge(s, key)
+        key = slots.__getitem__  # positive leaves without a scale are their own keys
+    two_queue_merge(s, key, range(n))
     # Each merge slot holds its key and becomes key / L, negated for
     # negative input; an integral value comes out as an int.
     if common != 1:
@@ -72,7 +72,6 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
     return s
 
 
-@without_gc
 def build_huffman_sorted(values: Sequence[Value]) -> Schedule:
     """build_huffman on a nondecreasing sequence. The order is checked and
     selects no other code path: build_huffman's sort of sorted input is one
@@ -81,37 +80,23 @@ def build_huffman_sorted(values: Sequence[Value]) -> Schedule:
     return build_huffman(values)
 
 
-def two_queue_merge(
-    s: Schedule,
-    key: Optional[Callable[[int], Value]] = None,
-    ids: Optional[Sequence[int]] = None,
-) -> None:
+def two_queue_merge(s: Schedule, key: Callable[[int], Value], ids: Sequence[int]) -> None:
     """Huffman merge of n items over nondecreasing positive keys, in O(n),
     written to the last n - 1 merge slots of the schedule s.
 
-    Item i has the key key(i) and the schedule id ids[i]. Without ids, the
-    items are the leaves of s in order; without key, each leaf's value is
-    its key. Merging two items keys the result by the sum of their keys,
-    and that key is written straight into the merge's value slot, so the
-    merge holds no list beside the schedule. Input items wait in one FIFO
-    queue and merged items in another; both stay nondecreasing, so the two
-    smallest items are always at the queue fronts. On ties the input queue
-    wins, and the first item popped becomes the left child. With ids, each
-    merge slot then gets the sum of its children's values. Without ids,
-    the slots keep their keys, and a caller whose keys are not the leaf
-    values turns each key into its value.
+    Item i has the key key(i) and the schedule id ids[i]. Merging two items
+    keys the result by the sum of their keys, and that key is written
+    straight into the merge's value slot, so the merge holds no list beside
+    the schedule. Input items wait in one FIFO queue and merged items in
+    another; both stay nondecreasing, so the two smallest items are always
+    at the queue fronts. On ties the input queue wins, and the first item
+    popped becomes the left child. Every merge slot is left holding its
+    key, and the caller turns each key into its value.
     """
     values, left, right = s.values, s.left, s.right
-    keyed = ids is not None
-    n = len(ids) if keyed else len(values) - len(left)
-    if key is None:
-        key = values.__getitem__
-    if n == 1:
-        return
+    n = len(ids)
     slot = len(left) - (n - 1)  # the first merge slot written here
     first = len(values) - (n - 1)  # the id of the merge in that slot
-    if not keyed:
-        ids = range(n)
 
     # Queue fronts and keys are carried in locals to keep this O(n) pass
     # cheap in constant factors; an infinite key stands for an empty queue.
@@ -145,9 +130,3 @@ def two_queue_merge(
         values[first + k] = ab = ka + kb
         if mk is inf:
             mk = ab
-    if not keyed:
-        return
-    # Each merge value is the sum of its children's, which come before it.
-    leaves = first - slot
-    for k in range(slot, len(left)):
-        values[leaves + k] = values[left[k]] + values[right[k]]

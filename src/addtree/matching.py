@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .numeric import Value, exact_sorted
-from .tree import without_gc
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class CriticalMatching:
         return self.pi + self.delta
 
 
-@without_gc
 def minimum_critical_matching(
     positives: Sequence[Value], negatives: Sequence[Value]
 ) -> CriticalMatching:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .huffman import build_huffman, two_queue_merge
@@ -77,19 +76,21 @@ class PlanReport:
         o = self.optimal_cost
         return as_value(Fraction(self.cost) / Fraction(o)) if o else None
 
-    def to_json_dict(self, n: int) -> dict:
+    def to_json_dict(self) -> dict:
+        s = self.schedule
+
         def fmt(v):
             return None if v is None else format_value(v)
 
         return {
             "strategy": self.strategy,
-            "n": n,
+            "n": len(s.values) - len(s.left),
             "cost": format_value(self.cost),
             "error_bound": format_value(self.error_bound),
             "guarantee_factor": fmt(self.guarantee_factor),
             "optimal_cost": fmt(self.optimal_cost),
             "observed_ratio": fmt(self.observed_ratio),
-            "tree": serialize(self.schedule),
+            "tree": serialize(s),
         }
 
 
@@ -180,9 +181,13 @@ def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     ]
     # A stable sort keeps groups with equal keys in input order, which
     # fixes the tree shape; the guarantee does not depend on ties.
-    keyed = sorted(zip(keys, roots), key=itemgetter(0))
-    keys = [key for key, _ in keyed]
-    two_queue_merge(s, keys.__getitem__, [root for _, root in keyed])
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [*map(keys.__getitem__, order)]
+    two_queue_merge(s, keys.__getitem__, [*map(roots.__getitem__, order)])
+    # Each merge slot holds its key; its value is the sum of its children's.
+    values, left, right = s.values, s.left, s.right
+    for k in range(n - len(keys), n - 1):
+        values[n + k] = values[left[k]] + values[right[k]]
     return s
 
 

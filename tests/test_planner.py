@@ -223,7 +223,7 @@ def test_plan_with_oracle_checks_the_cap_before_planning(monkeypatch, strategy):
 
 def test_plan_report_json():
     report = plan([1, 2, 3, 4], "grouped", t=1, alpha=Fraction(1, 8))
-    payload = report.to_json_dict(4)
+    payload = report.to_json_dict()
     assert payload["strategy"] == "grouped"
     assert payload["cost"] == "20"
     assert payload["error_bound"] == "2.5"
