@@ -1,6 +1,7 @@
-"""Every public builder of an O(n)-node tree, and each command the command
-line's main dispatches, runs with the cyclic GC paused and leaves the GC
-state as it found it."""
+"""Every public builder of an O(n)-node tree starts no cyclic collection
+and leaves the GC state as it found it: each pauses the GC, or allocates
+nothing the collector tracks outside a builder that does. Each command the
+command line's main dispatches runs with the GC paused."""
 
 import gc
 
