@@ -16,7 +16,7 @@ assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from sys import get_int_max_str_digits, maxsize
 
@@ -24,15 +24,15 @@ from .numeric import Value, as_value, digit_limit_error, format_value
 from .tree import Internal, Plan, tree_view
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(namedtuple("_PrecisionBase", ("significand_bits",))):
     """p-bit significand (including the leading bit), unbounded exponent."""
 
-    significand_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.significand_bits < 2:
+    def __new__(cls, significand_bits: int):
+        if significand_bits < 2:
             raise ValueError("significand must have at least 2 bits")
+        return tuple.__new__(cls, (significand_bits,))
 
     @property
     def alpha(self) -> Fraction:
@@ -80,15 +80,39 @@ def round_to_precision(v: Value, prec: Precision) -> Value:
     return _value(*_round(m, e, p))
 
 
-@dataclass(frozen=True)
 class SimulationResult:
-    """A simulated tree's rounded sum, exact sum, their gap, cost C(T) and precision."""
+    """A simulated tree's rounded sum, exact sum, their gap, cost C(T) and
+    precision. Not a tuple, so a caller can tell it from a plain tuple of
+    results; its fields are read-only."""
 
-    computed: Value
-    true_sum: Value
-    abs_error: Value
-    cost: Value
-    precision: Precision
+    __slots__ = ("computed", "true_sum", "abs_error", "cost", "precision")
+
+    def __init__(
+        self, computed: Value, true_sum: Value, abs_error: Value, cost: Value, precision: Precision
+    ):
+        for name, value in zip(self.__slots__, (computed, true_sum, abs_error, cost, precision)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"SimulationResult({shown})"
 
     @property
     def bound(self) -> Value:

@@ -16,22 +16,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .numeric import ParseError, Value, uncommented_lines
+from .numeric import ParseError, uncommented_lines
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
+class ThreePartitionInstance(namedtuple("_ThreePartitionBase", ("b", "k"))):
     """A 3-PARTITION instance: the multiset B of 3m integers and the target K."""
 
-    b: Tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(self.b))
+    def __new__(cls, b: Sequence[int], k: int):
+        return tuple.__new__(cls, (tuple(b), k))
 
 
 def validate_3par(instance: ThreePartitionInstance) -> int:
@@ -64,19 +62,16 @@ def amplify(instance: ThreePartitionInstance) -> Tuple[List[int], int]:
     return a, 3 * w + instance.k
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
-    """The multiset X built from a 3-PARTITION instance, its parameters and cost threshold."""
+class ReductionInstance(
+    namedtuple(
+        "_ReductionBase", ("x", "w", "l", "h", "h_big", "epsilon", "m", "target_cost", "source")
+    )
+):
+    """The multiset X built from a 3-PARTITION instance, its parameters and
+    cost threshold: x is a tuple of values, epsilon a Fraction, source the
+    ThreePartitionInstance, and the other fields are ints."""
 
-    x: Tuple[Value, ...]
-    w: int
-    l: int
-    h: int
-    h_big: int
-    epsilon: Fraction
-    m: int
-    target_cost: int
-    source: ThreePartitionInstance
+    __slots__ = ()
 
     @property
     def a(self) -> Tuple[int, ...]:
@@ -105,15 +100,14 @@ def reduce_to_addition_tree(instance: ThreePartitionInstance) -> ReductionInstan
     )
 
 
-@dataclass(frozen=True)
-class PerturbationBounds:
-    """The exact perturbation quantities h = beta0 * H, a_i = (1/3 + beta_i) H."""
+class PerturbationBounds(
+    namedtuple("_PerturbationBase", ("beta0", "betas", "epsilon", "a_max", "h_big"))
+):
+    """The exact perturbation quantities h = beta0 * H, a_i = (1/3 + beta_i) H:
+    beta0 and epsilon are Fractions, betas a tuple of them, a_max and h_big
+    ints."""
 
-    beta0: Fraction
-    betas: Tuple[Fraction, ...]
-    epsilon: Fraction
-    a_max: int
-    h_big: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, mul
@@ -57,12 +56,10 @@ class CapExceededError(ValueError):
     """An instance exceeds an oracle's size cap."""
 
 
-@dataclass(frozen=True)
-class OptimalResult:
+class OptimalResult(namedtuple("_OptimalResultBase", ("optimal_cost", "witness"))):
     """The exact minimum cost over x, and the schedule of a tree attaining it."""
 
-    optimal_cost: Value
-    witness: Schedule
+    __slots__ = ()
 
 
 def check_oracle_cap(n: int, cap: int) -> None:

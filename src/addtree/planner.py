@@ -24,7 +24,7 @@ view (PlanReport.tree) is built only when a caller reads it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
@@ -48,16 +48,18 @@ from .tree import (
 STRATEGIES = ("balanced", "huffman", "critical", "grouped", "optimal")
 
 
-@dataclass
-class PlanReport:
+class PlanReport(
+    namedtuple(
+        "_PlanReportBase",
+        ("strategy", "schedule", "alpha", "guarantee_factor", "optimal_cost"),
+        defaults=(None, None),
+    )
+):
     """A planned tree with its guarantee; cost and error bound derive from
-    the schedule, and the Leaf/Internal view is built on first read."""
-
-    strategy: str
-    schedule: Schedule
-    alpha: Value
-    guarantee_factor: Optional[Value] = None
-    optimal_cost: Optional[Value] = None
+    the schedule, and the Leaf/Internal view is built on first read. The
+    strategy is a name from STRATEGIES; alpha, guarantee_factor and
+    optimal_cost are values, the last two None when not known. No
+    __slots__, so that the cached cost has a __dict__ to live in."""
 
     @property
     def tree(self) -> AdditionTree:

@@ -71,8 +71,9 @@ def test_no_unused_imports(path):
 
 
 def test_public_names_have_docstrings():
-    # A dataclass without a docstring gets "Name(field: type, ...)" as its
-    # __doc__, which documents nothing the signature does not.
+    # A record made by namedtuple without a docstring of its own gets
+    # "Name(field, ...)" as its __doc__, as a dataclass gets "Name(field:
+    # type, ...)"; neither documents anything the signature does not.
     undocumented = [
         name
         for name in addtree.__all__

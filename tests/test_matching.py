@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from addtree.matching import minimum_critical_matching, split_by_sign
 from addtree.numeric import as_value
-from addtree.oracle import CapExceededError
+from addtree.oracle import CapExceededError, optimal_cost_dp
 from addtree.tree import cost
 from checkers import brute_force_matching, enumerate_trees
 
@@ -172,3 +173,32 @@ def test_matching_lower_bounds_every_tree():
         lower = minimum_critical_matching(*split_by_sign(x)).total
         for tree in enumerate_trees(x):
             assert 2 * cost(tree) >= lower
+
+
+def test_sharper_lower_bound_holds_on_every_small_mixed_multiset():
+    # Every mixed multiset of n <= 6 values from +-[1, 5]: the bound never
+    # exceeds the exact optimum, and it meets it on 414 of them with a
+    # nonzero sum, so no factor above 1 can be put on it.
+    values = [*range(-5, 0), *range(1, 6)]
+    checked = attained = 0
+    for n in range(2, 7):
+        for x in itertools.combinations_with_replacement(values, n):
+            if not x[0] < 0 < x[-1]:
+                continue
+            checked += 1
+            bound = minimum_critical_matching(*split_by_sign(x)).lower_bound
+            optimum = optimal_cost_dp(x).optimal_cost
+            assert bound <= optimum, x
+            attained += bound == optimum and sum(x) != 0
+    assert (checked, attained) == (7085, 414)
+
+
+def test_sharper_lower_bound_is_attained_and_exact():
+    # total 4 (pair 4 - 5, then 1 and 2 unmatched) and sum 2: the bound is
+    # (4 + 2) / 2 = 3, the optimum; the paper's total / 2 gives only 2.
+    m = minimum_critical_matching([1, 2, 4], [-5])
+    assert (m.total, m.lower_bound, optimal_cost_dp([-5, 1, 2, 4]).optimal_cost) == (4, 3, 3)
+    # Exact on rationals: (2/3 + 2/3) / 2, a Fraction, never a float.
+    bound = minimum_critical_matching([Fraction(1, 3)], [-1]).lower_bound
+    assert type(bound) is Fraction and bound == Fraction(2, 3)
+    assert type(m.lower_bound) is int
