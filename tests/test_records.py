@@ -86,7 +86,7 @@ def test_equal_fields_make_equal_records(cls, names, values):
 def test_fields_are_read_only(cls, names, values):
     record = cls(*values)
     if cls is PlanReport:
-        return  # mutable before it became a tuple; nothing assigns its fields
+        return  # its fields need not be read-only: nothing assigns them
     for name, value in zip(names, values):
         with pytest.raises(AttributeError):
             setattr(record, name, value)
