@@ -34,6 +34,11 @@ class Precision(namedtuple("_PrecisionBase", ("significand_bits",))):
             raise ValueError("significand must have at least 2 bits")
         return tuple.__new__(cls, (significand_bits,))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
     @property
     def alpha(self) -> Fraction:
         return Fraction(1, 1 << self.significand_bits)
@@ -80,39 +85,14 @@ def round_to_precision(v: Value, prec: Precision) -> Value:
     return _value(*_round(m, e, p))
 
 
-class SimulationResult:
+class SimulationResult(
+    namedtuple("_SimulationResultBase", ("computed", "true_sum", "abs_error", "cost", "precision"))
+):
     """A simulated tree's rounded sum, exact sum, their gap, cost C(T) and
-    precision. Not a tuple, so a caller can tell it from a plain tuple of
-    results; its fields are read-only."""
+    precision. A namedtuple like the other records: its fields are
+    read-only, and it compares equal to a plain tuple of them."""
 
-    __slots__ = ("computed", "true_sum", "abs_error", "cost", "precision")
-
-    def __init__(
-        self, computed: Value, true_sum: Value, abs_error: Value, cost: Value, precision: Precision
-    ):
-        for name, value in zip(self.__slots__, (computed, true_sum, abs_error, cost, precision)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"SimulationResult({shown})"
+    __slots__ = ()
 
     @property
     def bound(self) -> Value:

@@ -31,6 +31,11 @@ class ThreePartitionInstance(namedtuple("_ThreePartitionBase", ("b", "k"))):
     def __new__(cls, b: Sequence[int], k: int):
         return tuple.__new__(cls, (tuple(b), k))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
 
 def validate_3par(instance: ThreePartitionInstance) -> int:
     """Check the 3-PARTITION side conditions; return m = |B| / 3."""

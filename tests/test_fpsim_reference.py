@@ -102,7 +102,7 @@ def sim_outcome(fn, tree, prec):
         result = fn(tree, prec)
     except ValueError as exc:
         return "error", str(exc)
-    if not isinstance(result, tuple):
+    if fn is simulate:
         result = (
             result.computed, result.true_sum, result.abs_error, result.bound, result.ratio
         )

@@ -3,7 +3,8 @@
 Eight classes carry results between the library's stages. Each is built
 by keyword or by position from named fields, compares equal to a record of
 its type with equal fields, prints as Name(field=value, ...) and, all but
-PlanReport, refuses assignment to a field.
+PlanReport, refuses assignment to a field. Its _replace and _make build a
+record of its own type, through the checks its constructor makes.
 """
 
 import inspect
@@ -132,3 +133,20 @@ def test_plan_report_cost_is_computed_once(monkeypatch):
     report = PlanReport("huffman", REPORT.schedule, REPORT.alpha)
     assert report.cost == 11 and report.cost == 11 and report.error_bound == 11 * REPORT.alpha
     assert calls == [REPORT.schedule]
+
+
+@pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
+def test_replace_and_make_keep_the_record_type(cls, names, values):
+    record = cls(*values)
+    assert record._replace() == record
+    assert type(record._make(record)) is cls
+
+
+def test_precision_replace_rejects_fewer_than_two_bits():
+    with pytest.raises(ValueError, match="^significand must have at least 2 bits$"):
+        Precision(24)._replace(significand_bits=1)
+
+
+def test_three_partition_instance_replace_stores_b_as_a_tuple():
+    replaced = ThreePartitionInstance((1, 2, 3), 6)._replace(b=[5, 5, 6])
+    assert type(replaced.b) is tuple and replaced == ThreePartitionInstance((5, 5, 6), 6)
