@@ -14,14 +14,14 @@ under sys.get_int_max_str_digits()), 3 oracle size cap, which `plan
 parse any. A failure prints one line on stderr and no traceback.
 
 A report is rendered in full before its first byte is written, so a
-failure while rendering leaves stdout empty. _write_stdout then writes the
-text in slices of at most 64 KiB. Input files are converted in batches of
-about 64 KiB of text (read_values), so ingest holds the text, the values
-and one batch of line strings. `plan` drops each stage's input once the
-next stage holds what it needs: the values once planned, the report once
-rendered, the JSON payload once it is text. Rendering holds the merge
-schedule and about one copy of the output; the run's peak is the
-planner's, the values beside the schedule it fills.
+failure while rendering leaves stdout empty. Input files are converted in
+batches of about 64 KiB of text (read_values), so ingest holds the text,
+the values and one batch of line strings. `plan` drops each stage's input
+once the next stage holds what it needs: the values once planned, the
+report once rendered, the JSON payload once it is text. Rendering holds the
+merge schedule and about one copy of the output, and writing holds the text
+and its encoded copy; the run's peak is the planner's, the values beside the
+schedule it fills.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ EXIT_ORACLE_CAP = 3
 # read_values converts a file in batches of about this many characters,
 # cut at line ends.
 READ_BATCH = 1 << 16
-# _write_stdout writes a report in slices of at most this many characters.
-STDOUT_SLICE = 1 << 16
 
 SORTED_HELP = (
     "promise that the input is sorted ascending; the promise is checked, and "
@@ -136,16 +134,6 @@ def read_values(path: str, cap: Optional[int] = None) -> List[Value]:
     return values[:]
 
 
-def _write_stdout(text: str) -> None:
-    """Write a finished report and a newline to stdout, in slices of at
-    most STDOUT_SLICE characters, so that no encoded copy of the whole text
-    is made. Reports are ASCII: a character is a byte."""
-    write = sys.stdout.write
-    for start in range(0, len(text), STDOUT_SLICE):
-        write(text[start : start + STDOUT_SLICE])
-    write("\n")
-
-
 def _option(name: str, check, value):
     """check(value), its ValueError (a ParseError too) led by the option's name."""
     try:
@@ -184,7 +172,7 @@ def cmd_plan(args) -> int:
         del report
         text = json.dumps(payload, indent=2)
         del payload
-    _write_stdout(text)
+    print(text)
     return 0
 
 
@@ -192,14 +180,14 @@ def cmd_oracle(args) -> int:
     values = read_values(args.input, cap=args.cap)
     report = planner.plan(values, "optimal", oracle_cap=args.cap)
     if args.output == "sexpr":
-        _write_stdout(tree.serialize(report.schedule))
+        print(tree.serialize(report.schedule))
     else:
         payload = {
             "n": len(values),
             "optimal_cost": format_value(report.optimal_cost),
             "witness": tree.serialize(report.schedule),
         }
-        _write_stdout(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -231,7 +219,7 @@ def cmd_reduce(args) -> int:
         "n": len(reduction.x),
         "target_cost": str(reduction.target_cost),
     }
-    _write_stdout(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -250,7 +238,7 @@ def cmd_simulate(args) -> int:
     payload["strategy"] = args.strategy
     payload["precision"] = args.precision
     payload["cost"] = format_value(result.cost)
-    _write_stdout(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
     return 0
 
 

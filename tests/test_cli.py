@@ -423,7 +423,7 @@ def test_report_over_several_slices_is_written_whole(tmp_path, capsys):
     values = list(range(1, 10**5 + 1))
     path = write(tmp_path, "ints.txt", "".join(f"{v}\n" for v in values))
     text = serialize(planner.plan(values, "balanced").schedule)
-    assert len(text) > 3 * cli.STDOUT_SLICE
+    assert len(text) > 3 * 2**16
     assert run(capsys, "plan", "--strategy", "balanced", "--output", "sexpr", path) == (
         0, text + "\n", ""
     )
@@ -783,8 +783,8 @@ def test_no_traceback_on_bad_files(tmp_path, command, case):
     [("plan", 2), ("plan", 2000), ("plan", 200000), ("oracle", 2), ("simulate", 2), ("reduce", 2)],
 )
 def test_closed_stdout_exits_2_with_one_line(tmp_path, command, size):
-    # A small report fails in the final flush, a large one in the write of
-    # its first slice, with further slices still to come.
+    # A small report fails in the final flush, a large one in its write,
+    # before the newline after it.
     path = tmp_path / "input.txt"
     path.write_bytes(INSTANCE if command == "reduce" else b"1\n-2\n" * (size // 2))
     extra = {

@@ -2,9 +2,9 @@
 
 Every CLI call is a fresh interpreter, so each stdlib module that
 `import addtree.cli` pulls in is paid again on every call. The records are
-tuples or plain __slots__ classes, so nothing needs dataclasses, which would
-bring in inspect and with it ast, dis, tokenize and linecache: about 7 ms of
-a 40 ms import, plus the exec of every generated method.
+namedtuple subclasses, so nothing needs dataclasses, which would bring in
+inspect and with it ast, dis, tokenize and linecache: about 7 ms of a
+40 ms import, plus the exec of every generated method.
 """
 
 import os
