@@ -18,10 +18,9 @@ failure while rendering leaves stdout empty. Input files are converted in
 batches of about 64 KiB of text (read_values), so ingest holds the text,
 the values and one batch of line strings. `plan` drops each stage's input
 once the next stage holds what it needs: the values once planned, the
-report once rendered, the JSON payload once it is text. Rendering holds the
-merge schedule and about one copy of the output, and writing holds the text
-and its encoded copy; the run's peak is the planner's, the values beside the
-schedule it fills.
+report once rendered. Rendering holds the merge schedule and about one copy
+of the output, and writing holds the text and its encoded copy; the run's
+peak is the planner's, the values beside the schedule it fills.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import os
 import sys
 from itertools import compress, count, islice
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from . import fpsim, hardness, planner, tree
 from .numeric import ParseError, Value, format_value, parse_value, parse_values, uncommented_lines
@@ -79,16 +78,17 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _batches(text: str) -> Iterator[Tuple[int, int]]:
-    """The (start, end) of each piece of text when it is cut at line ends
-    into pieces of about READ_BATCH characters. Each caller slices its own
-    piece, so the piece's text is freed as soon as it is split."""
+def _batches(text: str) -> Iterator[List[str]]:
+    """The tokens of each piece of text when it is cut at line ends into
+    pieces of about READ_BATCH characters: its lines, '#' comments cut,
+    stripped, blank ones dropped. Each piece's text is freed as soon as it
+    is split."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + READ_BATCH)
         if end < 0:
             end = len(text)
-        yield start, end
+        yield list(filter(None, map(str.strip, uncommented_lines(text[start:end]))))
         start = end + 1
 
 
@@ -109,13 +109,9 @@ def read_values(path: str, cap: Optional[int] = None) -> List[Value]:
     """
     text = _read_text(path)
     if cap is not None:
-        lines = 0
-        for start, end in _batches(text):
-            lines += sum(map(bool, map(str.strip, uncommented_lines(text[start:end]))))
-        check_oracle_cap(lines, cap)
+        check_oracle_cap(sum(map(len, _batches(text))), cap)
     values: List[Value] = []
-    for start, end in _batches(text):
-        tokens = list(filter(None, map(str.strip, uncommented_lines(text[start:end]))))
+    for tokens in _batches(text):
         try:
             values += parse_values(tokens)
         except ParseError as exc:
@@ -124,8 +120,7 @@ def read_values(path: str, cap: Optional[int] = None) -> List[Value]:
             linenos = compress(count(1), map(str.strip, uncommented_lines(text)))
             lineno = next(islice(linenos, index, None))
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        # Dropped before the next batch is split, not when it is rebound.
-        del tokens
+        del tokens  # freed before the next batch is split, not when rebound
     if not values:
         raise ValueError(f"{path}: no values found")
     del text
@@ -171,7 +166,6 @@ def cmd_plan(args) -> int:
         payload = report.to_json_dict()
         del report
         text = json.dumps(payload, indent=2)
-        del payload
     print(text)
     return 0
 

@@ -61,14 +61,11 @@ def build_huffman(values: Sequence[Value]) -> Schedule:
     two_queue_merge(s, key, range(n))
     # Each merge slot holds its key and becomes key / L, negated for
     # negative input; an integral value comes out as an int.
-    if common != 1:
-        unit = -common if negative else common
+    unit = -common if negative else common
+    if unit != 1:
         for k in range(n, len(slots)):
             m = slots[k]
             slots[k] = Fraction(m, unit) if m % unit else m // unit
-    elif negative:
-        for k in range(n, len(slots)):
-            slots[k] = -slots[k]
     return s
 
 

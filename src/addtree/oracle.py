@@ -102,10 +102,11 @@ def optimal_cost_dp(x: Sequence[Value], cap: int = DEFAULT_CAP) -> OptimalResult
     parts are a slice and their complements another: for d = 1 the half
     that holds that copy, for even d the middle run twice, which is
     harmless for a minimum. ga[h] is row h gathered at those parts of L
-    (ascending) and gb[h] at their complements (descending). An entry not yet filled holds inf, and so does the empty
-    multiset's, which is never filled, so a pair of S itself with the empty
-    multiset never attains the minimum; ga[H][-1] is set to f(S) once it is
-    known, for the indices above S.
+    (ascending) and gb[h] at their complements (descending). An entry not
+    yet filled holds inf, and so does the empty multiset's, which is never
+    filled, so a pair of S itself with the empty multiset never attains the
+    minimum; ga[H][-1] is set to f(S) once it is known, for the indices
+    above S.
     """
     n = len(x)
     if n == 0:

@@ -168,15 +168,13 @@ def plan_single_sign(x: Sequence[Value], t: int) -> Schedule:
     # Any width above n gives one group; capping t keeps 1 << t small.
     rounds = min(t, n.bit_length())
     width = 1 << rounds
-    full = n - n % width  # the leaves of the full groups
     s = Schedule.over(x)
-    # Every round halves each full group exactly, so the full groups pair
-    # up side by side without a pair crossing two groups.
-    roots, level, k = array("i", range(full)), s.values, 0
+    # No pair crosses two groups: a full group holds an even number of pieces
+    # before its last round, and the short last group, under width leaves, is
+    # one piece after the rounds, so roots holds each group's root in order.
+    roots, level, k = array("i", range(n)), s.values, 0
     for _ in range(rounds):
         roots, level, k = pair_round(s, roots, level, k)
-    if full < n:
-        roots.append(pair_rounds(s, array("i", range(full, n)), s.values[full:n], k))
     keys = [
         -min(x[i : i + width]) if negative else max(x[i : i + width])
         for i in range(0, n, width)

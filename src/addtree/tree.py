@@ -92,8 +92,8 @@ class Schedule:
 
     __slots__ = ("values", "left", "right", "_tree")
 
-    def __init__(self, values: list, left: array, right: array, tree=None):
-        self.values, self.left, self.right, self._tree = values, left, right, tree
+    def __init__(self, values: list, left: array, right: array):
+        self.values, self.left, self.right, self._tree = values, left, right, None
 
     @classmethod
     def over(cls, leaves: Iterable[Value]) -> "Schedule":
@@ -138,8 +138,7 @@ def _build_view(s: Schedule) -> AdditionTree:
 
 def flatten(tree: Plan) -> Schedule:
     """The schedule of a plan: a Schedule as it is, and a Leaf/Internal
-    view taken apart in one iterative post-order pass, leaves left to right.
-    The schedule keeps the view as its .tree."""
+    view taken apart in one iterative post-order pass, leaves left to right."""
     if isinstance(tree, Schedule):
         return tree
     leaves: list = []
@@ -166,7 +165,7 @@ def flatten(tree: Plan) -> Schedule:
     # A merge id ~k becomes n + k, now that n is known.
     left = array("i", [i if i >= 0 else n + ~i for i in left])
     right = array("i", [i if i >= 0 else n + ~i for i in right])
-    return Schedule(leaves + sums, left, right, tree)
+    return Schedule(leaves + sums, left, right)
 
 
 def tree_view(tree: Plan) -> AdditionTree:

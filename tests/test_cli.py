@@ -419,7 +419,7 @@ def test_digit_limit_late_in_the_text_leaves_stdout_empty(tmp_path, capsys):
     )
 
 
-def test_report_over_several_slices_is_written_whole(tmp_path, capsys):
+def test_large_report_is_written_whole(tmp_path, capsys):
     values = list(range(1, 10**5 + 1))
     path = write(tmp_path, "ints.txt", "".join(f"{v}\n" for v in values))
     text = serialize(planner.plan(values, "balanced").schedule)

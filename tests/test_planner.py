@@ -15,7 +15,7 @@ from addtree.planner import (
     plan_general,
     plan_single_sign,
 )
-from addtree.tree import build_balanced, cost, serialize
+from addtree.tree import Leaf, build_balanced, cost, nodes, serialize
 
 
 def ceil_log2(k):
@@ -62,6 +62,25 @@ def test_plan_single_sign_negative_symmetry():
     neg = [-v for v in x]
     assert cost(plan_single_sign(neg, 1)) == cost(plan_single_sign(x, 1))
     assert plan_single_sign(neg, 1).tree.value == -sum(x)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_plan_single_sign_groups_are_balanced_subtrees(t, sign):
+    # Every n up to 5 * 2^t - 1 puts each short last group length beside
+    # up to four full groups. The values are distinct, so a node's leaves
+    # left to right name it.
+    rng = random.Random(t)
+    width = 1 << t
+    for n in range(1, 5 * width):
+        x = [sign * v for v in rng.sample(range(1, 1000), n)]
+        subtrees = {
+            tuple(leaf.value for leaf in nodes(node) if isinstance(leaf, Leaf)): serialize(node)
+            for node in nodes(plan_single_sign(x, t))
+        }
+        for i in range(0, n, width):
+            group = x[i : i + width]
+            assert subtrees.get(tuple(group)) == serialize(build_balanced(group)), (n, i)
 
 
 def group_parameter_by_search(n):

@@ -65,10 +65,10 @@ def test_schedule_layout():
     assert repr(s) == "Schedule(leaves=3, value=6)"
 
 
-def test_flatten_keeps_the_view_and_passes_a_schedule_through():
+def test_flatten_lays_out_a_view_and_passes_a_schedule_through():
     view = Internal(Internal(Leaf(1), Leaf(2)), Leaf(3))
     s = flatten(view)
-    assert s.tree is view and flatten(s) is s
+    assert s.tree == view and flatten(s) is s
     assert (s.values, list(s.left), list(s.right)) == ([1, 2, 3, 3, 6], [0, 3], [1, 2])
 
 
